@@ -37,7 +37,7 @@ from repro.simgpu.device import GPUDevice, KernelRunResult
 from repro.simgpu.kernel import max_group_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["MatmulConfig", "MatmulGPUApp", "divisors"]
 
@@ -153,7 +153,7 @@ class MatmulGPUApp:
 
         Applies the sweep default floor (BS ≥ 4 — the paper's populated
         region) when ``min_bs`` is None.  This single enumeration is
-        shared by the serial path and :class:`repro.sweep.SweepEngine`,
+        shared by the serial path and :class:`repro.sweep.EvalPlanner`,
         which is what makes their outputs comparable point-for-point.
         """
         if min_bs is None:
@@ -193,16 +193,16 @@ class MatmulGPUApp:
         *,
         min_bs: int | None = None,
         rng: np.random.Generator | None = None,
-        engine: "SweepEngine | None" = None,
+        engine: "EvalPlanner | None" = None,
     ) -> list[ParetoPoint]:
         """Evaluate every valid configuration for matrix size N.
 
         This is the paper's exhaustive methodology; the resulting point
         cloud is what Figs. 2, 7 and 8 plot.  With ``engine`` given the
-        sweep runs through :class:`repro.sweep.SweepEngine` (parallel
-        fan-out and/or persistent caching); the engine path is
+        sweep runs through :class:`repro.sweep.EvalPlanner` (batched
+        evaluation, optional persistent store); its scalar backend is
         bit-identical to the in-process path.  Noise-injected sweeps
-        (``rng``) always run in-process — noise must not be cached.
+        (``rng``) always run in-process — noise must not be stored.
         """
         if engine is not None and rng is None:
             from repro.sweep.plan import SweepRequest
@@ -227,7 +227,7 @@ class MatmulGPUApp:
         n: int,
         *,
         min_bs: int | None = None,
-        engine: "SweepEngine | None" = None,
+        engine: "EvalPlanner | None" = None,
     ) -> np.ndarray:
         """The sweep as a ``POINT_DTYPE`` structured array (columnar path).
 
@@ -235,19 +235,14 @@ class MatmulGPUApp:
         :meth:`sweep_points`, but no per-point dicts or
         :class:`ParetoPoint` objects — the figure experiments operate
         directly on the columns and materialize points only at the
-        reporting boundary.  With an ``engine`` exposing the columnar
-        ``table`` protocol (:class:`repro.sweep.SweepEngine`,
-        :class:`repro.sweep.planner.EvalPlanner`) the array is served
-        zero-copy end to end; engines that only speak
-        ``evaluate_configs`` are adapted transparently.
+        reporting boundary.  With an ``engine``
+        (:class:`repro.sweep.planner.EvalPlanner`) the array is its
+        ``table`` for this sweep.
         """
-        from repro.sweep.shm import POINT_DTYPE
+        from repro.sweep.plan import POINT_DTYPE, SweepRequest
 
         configs = self.sweep_configs(min_bs=min_bs)
-        out = np.empty(len(configs), dtype=POINT_DTYPE)
         if engine is not None:
-            from repro.sweep.plan import SweepRequest
-
             request = SweepRequest(
                 device=self.spec,
                 n=n,
@@ -255,17 +250,12 @@ class MatmulGPUApp:
                 min_bs=min_bs,
                 cal=self.device.cal,
             )
-            table_fn = getattr(engine, "table", None)
-            if table_fn is not None:
-                return table_fn(request, configs)
-            points = engine.evaluate_configs(request, configs)
-            out["time_s"] = [p.time_s for p in points]
-            out["energy_j"] = [p.energy_j for p in points]
-        else:
-            for i, cfg in enumerate(configs):
-                result = self.run(n, cfg)
-                out["time_s"][i] = result.time_s
-                out["energy_j"][i] = result.dynamic_energy_j
+            return engine.table(request, configs)
+        out = np.empty(len(configs), dtype=POINT_DTYPE)
+        for i, cfg in enumerate(configs):
+            result = self.run(n, cfg)
+            out["time_s"][i] = result.time_s
+            out["energy_j"][i] = result.dynamic_energy_j
         out["bs"] = [c.bs for c in configs]
         out["g"] = [c.g for c in configs]
         out["r"] = [c.r for c in configs]

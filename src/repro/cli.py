@@ -23,10 +23,10 @@ custom workload, without writing code:
   ``repro-device/1`` files, ``synth`` profiling samples from a
   registered device, and ``fit`` a calibration from (time, energy)
   samples;
-* ``bench`` — time the scalar / parallel / vectorized sweep backends
-  and the planner session path, and write ``BENCH_sweep.json``;
-* ``cache migrate`` — convert a JSON point cache into a columnar
-  store losslessly;
+* ``bench`` — time the scalar / vectorized sweep backends and the
+  planner session path, and write ``BENCH_sweep.json``;
+* ``cache migrate`` — import a JSON point cache written by earlier
+  versions into a columnar store losslessly;
 * ``trace`` — render a telemetry JSONL file (written by
   ``--telemetry jsonl:PATH``) as a span tree with self-time, metrics
   and the run-provenance manifest (see :mod:`repro.obs`);
@@ -39,12 +39,12 @@ custom workload, without writing code:
   nonzero exit on confirmed regressions);
 * ``report`` — run everything and write a single markdown report.
 
-The sweep-driven commands (``experiment``, ``sweep``) accept
-``--jobs`` (process-pool parallelism), ``--backend`` (``scalar`` or
-``vectorized`` evaluation), ``--cache-dir`` and ``--no-cache`` (the
-persistent per-point JSON cache) or ``--store-dir`` (the columnar
-shard store; see :mod:`repro.sweep`).  They, plus ``all`` and
-``bench``, accept ``--telemetry off|summary|jsonl:PATH``
+Every sweep-driven command (``experiment``, ``sweep``, ``tradeoff``,
+``all``) evaluates through one :class:`repro.sweep.EvalPlanner`.
+``experiment``, ``sweep`` and ``all`` accept ``--backend``
+(``vectorized``, the default, or the ``scalar`` reference) and
+``--store-dir`` (the columnar shard store; see :mod:`repro.store`).
+They, plus ``bench``, accept ``--telemetry off|summary|jsonl:PATH``
 (:mod:`repro.obs`): ``off`` is the default and byte-identical to the
 uninstrumented output.
 """
@@ -52,6 +52,7 @@ uninstrumented output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -82,11 +83,11 @@ _EXPERIMENTS = (
 
 
 def positive_int(text: str) -> int:
-    """Argparse type for flags that must be >= 1 (``--jobs`` etc.).
+    """Argparse type for flags that must be >= 1 (``--n`` etc.).
 
-    Validates at the parser boundary so ``--jobs 0`` or ``--jobs -4``
+    Validates at the parser boundary so ``--n 0`` or ``--products -4``
     is a clean usage error instead of a traceback from deep inside the
-    engine or the process pool.
+    model.
     """
     try:
         value = int(text)
@@ -95,6 +96,19 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be at least 1 (got {value})"
+        )
+    return value
+
+
+def budget_pct(text: str) -> float:
+    """Argparse type for ``--budget``: a finite, non-negative percent."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative percentage (got {text})"
         )
     return value
 
@@ -120,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     # and data-file devices ($REPRO_DEVICE_DIR) appear everywhere at
     # once.
     from repro.devices.registry import gpu_device_choices
+    from repro.sweep.planner import BACKENDS
 
     device_choices = gpu_device_choices()
 
@@ -134,34 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--jobs", type=positive_int, default=1, metavar="N",
-            help="worker processes for sweep evaluation (default 1: serial)",
-        )
-        p.add_argument(
-            "--backend", choices=("scalar", "vectorized"), default="scalar",
+            "--backend", choices=BACKENDS, default="vectorized",
             help=(
-                "sweep evaluation backend: 'scalar' is the reference "
-                "path, 'vectorized' evaluates all points in one NumPy "
-                "batch (~10x faster, <=1e-9 relative deviation)"
+                "sweep evaluation backend: 'vectorized' (default) "
+                "evaluates all points in one NumPy batch (<=1e-9 "
+                "relative deviation), 'scalar' is the per-point "
+                "reference path"
             ),
-        )
-        p.add_argument(
-            "--cache-dir", default=None, metavar="DIR",
-            help=(
-                "persistent sweep-point cache directory (default: "
-                "$REPRO_CACHE_DIR if set, else no cache)"
-            ),
-        )
-        p.add_argument(
-            "--no-cache", action="store_true",
-            help="disable the sweep cache even if $REPRO_CACHE_DIR is set",
         )
         p.add_argument(
             "--store-dir", default=None, metavar="DIR",
-            help=(
-                "columnar sweep store directory (shard-level .npz "
-                "persistence; mutually exclusive with --cache-dir)"
-            ),
+            help="columnar sweep store directory (default: no store)",
         )
         _add_telemetry_flag(p)
 
@@ -176,9 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_engine_flags(sweep)
     sweep.add_argument("--device", choices=device_choices, default="p100")
-    sweep.add_argument("--n", type=int, default=10240, help="matrix size")
     sweep.add_argument(
-        "--products", type=int, default=24, help="total products T = G*R"
+        "--n", type=positive_int, default=10240, help="matrix size"
+    )
+    sweep.add_argument(
+        "--products", type=positive_int, default=24,
+        help="total products T = G*R",
     )
     sweep.add_argument(
         "--all-points", action="store_true",
@@ -199,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="best energy saving within a slowdown budget",
     )
     trade.add_argument("--device", choices=device_choices, default="p100")
-    trade.add_argument("--n", type=int, default=10240)
+    trade.add_argument("--n", type=positive_int, default=10240)
     trade.add_argument(
-        "--budget", type=float, default=5.0,
+        "--budget", type=budget_pct, default=5.0,
         help="tolerated slowdown in percent",
     )
 
@@ -220,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_all.add_argument(
-        "--backend", choices=("scalar", "vectorized"),
-        default="vectorized",
+        "--backend", choices=BACKENDS, default="vectorized",
         help=(
             "fill backend for store misses (default vectorized: one "
             "NumPy mega-batch per device/size group)"
@@ -426,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     migrate = cache_sub.add_parser(
         "migrate",
-        help="convert a JSON point cache into a columnar store",
+        help=(
+            "import a JSON point cache written by earlier versions "
+            "into a columnar store"
+        ),
     )
     migrate.add_argument(
         "--cache-dir", required=True, metavar="DIR",
@@ -460,31 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_engine(args: argparse.Namespace):
-    """Construct the SweepEngine the sweep-driven commands share.
+    """The planner ``experiment`` and ``sweep`` evaluate through."""
+    from repro.sweep.planner import EvalPlanner
 
-    Persistence resolution: ``--store-dir`` attaches the columnar
-    store (and is mutually exclusive with the JSON cache flags);
-    otherwise ``--no-cache`` wins, then ``--cache-dir``, then the
-    ``REPRO_CACHE_DIR`` environment variable, else no cache.
-    """
-    import os
-
-    from repro.sweep import SweepEngine
-
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
-    store_dir = getattr(args, "store_dir", None)
-    if store_dir is not None and args.cache_dir is not None:
-        raise SystemExit("--store-dir and --cache-dir are mutually exclusive")
-    cache_dir = None
-    if store_dir is None and not args.no_cache:
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    return SweepEngine(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        store_dir=store_dir,
-        backend=args.backend,
-    )
+    return EvalPlanner(store_dir=args.store_dir, backend=args.backend)
 
 
 def _run_experiment(exp_id: str, engine=None) -> str:
@@ -655,11 +637,10 @@ def _run_sweep(
 def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
     from repro.apps.matmul_gpu import MatmulGPUApp
     from repro.core import saving_at_degradation
+    from repro.sweep.planner import EvalPlanner
 
-    if budget_pct < 0:
-        raise SystemExit("budget must be non-negative")
     app = MatmulGPUApp(_get_gpu(device))
-    points = app.sweep_points(n)
+    points = app.sweep_points(n, engine=EvalPlanner())
     entry = saving_at_degradation(points, budget_pct / 100.0)
     return (
         f"Within a {budget_pct:.1f}% slowdown budget on {device} (N={n}):\n"

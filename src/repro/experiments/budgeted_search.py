@@ -30,7 +30,7 @@ from repro.machines.specs import GPUSpec
 P100 = get_machine("p100")
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["BudgetRow", "BudgetedSearchResult", "run", "requests"]
 
@@ -91,13 +91,13 @@ def run(
     budget_fractions: tuple[float, ...] = (0.1, 0.2, 0.35, 0.5, 1.0),
     seed: int = 0,
     *,
-    engine: "SweepEngine | None" = None,
+    engine: "EvalPlanner | None" = None,
 ) -> BudgetedSearchResult:
     """Score the greedy search at several evaluation budgets.
 
     With ``engine`` given, every point evaluation (the exhaustive sweep
-    and the greedy search's probes) is routed through the engine's
-    persistent cache; the in-run memo below still guarantees each
+    and the greedy search's probes) is routed through the planner and
+    its store; the in-run memo below still guarantees each
     configuration is modelled at most once per run either way.
     """
     from repro import obs
@@ -111,7 +111,7 @@ def _run_scored(
     n: int,
     budget_fractions: tuple[float, ...],
     seed: int,
-    engine: "SweepEngine | None",
+    engine: "EvalPlanner | None",
 ) -> BudgetedSearchResult:
     app = MatmulGPUApp(spec)
     space = app.config_space()

@@ -30,7 +30,7 @@ from repro.machines import get_machine
 K40C = get_machine("k40c")
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["Fig7Result", "run", "requests", "LOCAL_REGION_MAX_BS"]
 
@@ -85,13 +85,13 @@ class Fig7Result:
 def run(
     sizes: tuple[int, ...] = PAPER_SIZES,
     *,
-    engine: "SweepEngine | None" = None,
+    engine: "EvalPlanner | None" = None,
 ) -> Fig7Result:
     """Regenerate the Fig. 7 analysis.
 
     ``engine`` routes the sweeps through a
-    :class:`repro.sweep.SweepEngine` (parallelism / caching); the
-    default is the in-process serial path.
+    :class:`repro.sweep.EvalPlanner` (batched evaluation, optional
+    store); the default is the in-process serial path.
     """
     from repro import obs
 

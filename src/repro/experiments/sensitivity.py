@@ -37,7 +37,7 @@ K40C_CAL = calibration_for(K40C)
 P100_CAL = calibration_for(P100)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.engine import SweepEngine
+    from repro.sweep.planner import EvalPlanner
 
 __all__ = ["SensitivityRow", "SensitivityResult", "run", "PERTURBED_CONSTANTS"]
 
@@ -127,13 +127,13 @@ def _p100_verdict(cal, n, engine=None) -> bool:
 
 
 def run(
-    n: int = 10240, *, engine: "SweepEngine | None" = None
+    n: int = 10240, *, engine: "EvalPlanner | None" = None
 ) -> SensitivityResult:
     """Perturb each constant ±20% and re-check the structural verdicts.
 
-    The perturbed calibrations flow into the sweep-cache key, so an
-    engine-backed run caches each perturbation separately and a repeat
-    run is pure cache hits.
+    The perturbed calibrations flow into the store's shard identity, so
+    a store-backed run keeps each perturbation in its own shard and a
+    repeat run is pure store hits.
     """
     from repro import obs
 

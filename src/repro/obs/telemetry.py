@@ -31,10 +31,8 @@ Design
   node-exporter textfile collector — see
   :mod:`repro.obs.openmetrics`).
 
-The registry is intentionally *not* thread-local: the sweep pipeline
-is process-parallel, and worker-side measurements are aggregated into
-the parent registry explicitly (:meth:`Telemetry.merge_counts`, see
-``repro.sweep.engine``).
+The registry is intentionally *not* thread-local: there is one
+registry per process.
 """
 
 from __future__ import annotations
@@ -238,12 +236,6 @@ class Telemetry:
             if hist is None:
                 hist = self.histograms[name] = HistogramSummary()
             hist.add(float(value))
-
-    def merge_counts(self, counts: dict[str, int]) -> None:
-        """Fold worker-side counter increments into this registry."""
-        if self.enabled:
-            for name, value in counts.items():
-                self.counters[name] = self.counters.get(name, 0) + value
 
     def set_manifest(self, manifest: dict[str, Any]) -> None:
         """Attach the run-provenance manifest (see ``repro.obs.provenance``)."""

@@ -431,42 +431,25 @@ def batch_run_matmul(
     )
 
 
-def evaluate_configs_batch_arrays(
-    spec: GPUSpec,
-    cal: GPUCalibration | None,
-    n: int,
-    configs,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columnar variant of :func:`evaluate_configs_batch`.
-
-    Returns the index-aligned ``(time_s, dynamic_energy_j)`` float64
-    columns directly, without materializing per-point tuples — the
-    sweep engine's array path consumes these as-is.
-    """
-    count = len(configs)
-    if not count:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty.copy()
-    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
-    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
-    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
-    out = batch_run_matmul(
-        spec, cal, np.full(count, n, dtype=np.int64), bs, g, r
-    )
-    return out.time_s, out.dynamic_energy_j
-
-
 def evaluate_configs_batch(
     spec: GPUSpec,
     cal: GPUCalibration | None,
     n: int,
     configs,
 ) -> list[tuple[float, float]]:
-    """Vectorized drop-in for ``repro.sweep.worker.evaluate_chunk``.
+    """Vectorized per-sweep evaluation as ``(time_s, energy_j)`` pairs.
 
     ``configs`` is any sequence of objects with ``bs``/``g``/``r``
     attributes (e.g. :class:`repro.apps.matmul_gpu.MatmulConfig`);
     returns index-aligned ``(time_s, dynamic_energy_j)`` pairs.
     """
-    times, energies = evaluate_configs_batch_arrays(spec, cal, n, configs)
-    return list(zip(times.tolist(), energies.tolist()))
+    count = len(configs)
+    if not count:
+        return []
+    bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
+    g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
+    r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
+    out = batch_run_matmul(
+        spec, cal, np.full(count, n, dtype=np.int64), bs, g, r
+    )
+    return list(zip(out.time_s.tolist(), out.dynamic_energy_j.tolist()))

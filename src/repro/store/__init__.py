@@ -1,13 +1,11 @@
 """Columnar, shard-level result store for sweep points.
 
-The JSON point cache (:mod:`repro.sweep.cache`) pays one file open,
-one JSON parse and one dict walk *per point* — fine for resuming an
-interrupted sweep, but the dominant cost of a warm experiment rerun
-now that batch evaluation (:mod:`repro.simgpu.batch`) made the model
-itself cheap.  This package stores whole sweeps columnar instead:
+The store persists whole sweeps columnar, so a warm rerun pays one
+vectorized lookup per sweep instead of any per-point I/O:
 
-* :class:`~repro.store.columnar.ColumnarStore` — one NumPy ``.npz``
-  shard per ``(device, N, model_version, backend)`` identity
+* :class:`~repro.store.columnar.ColumnarStore` — one memory-mapped
+  ``.npy`` block plus a ``.meta.json`` sidecar per ``(device, N,
+  calibration, model_version, backend)`` identity
   (:func:`repro.sweep.keys.shard_digest`), holding the packed
   ``(BS, G, R)`` keys and the ``time_s`` / ``energy_j`` columns of
   every point of that sweep.  Lookups partition an entire request into
@@ -17,12 +15,11 @@ itself cheap.  This package stores whole sweeps columnar instead:
   advisory: shard filenames are derived from their content digest, so
   a missing or stale manifest degrades inspection tooling, never
   correctness.
-* the same durability contract as the JSON cache — atomic temp-file +
-  ``os.replace`` writes, corrupted/truncated shards treated as misses
-  and recomputed.
-* :func:`~repro.store.migrate.migrate_json_cache` — a one-way
-  migration from an existing JSON point cache (``repro cache
-  migrate``); the JSON cache itself remains fully supported.
+* atomic temp-file + ``os.replace`` writes; corrupted/truncated shards
+  are treated as misses and recomputed.
+* :func:`~repro.store.migrate.migrate_json_cache` — a one-way import
+  of a JSON point cache written by earlier versions (``repro cache
+  migrate``).
 """
 
 from repro.store.columnar import (

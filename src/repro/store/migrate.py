@@ -1,5 +1,11 @@
 """JSON point cache → columnar store migration (``repro cache migrate``).
 
+Earlier versions persisted sweep points in a per-point JSON cache: one
+``<root>/<key[:2]>/<key>.json`` record per point, in format
+``repro-sweep-cache/1``.  The columnar store replaced it; this module
+is the one-way importer that carries such a cache over, and the only
+reader of the record format left.
+
 A JSON cache record carries its content key and the denormalized
 ``(device, n, config)`` inputs, but *not* the spec/calibration payload
 the key was hashed from.  Migration therefore re-derives each record's
@@ -20,19 +26,68 @@ the original cache record and a fresh recomputation
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.machines.specs import GPUSpec, MACHINES
 from repro.simgpu.calibration import calibration_for
 from repro.store.columnar import ColumnarStore, ShardKey, pack_config, shard_key
-from repro.sweep.cache import CacheRecord
-from repro.sweep.engine import BACKENDS
 from repro.sweep.keys import sweep_key
+from repro.sweep.planner import BACKENDS
 
-__all__ = ["MigrationReport", "migrate_json_cache"]
+__all__ = ["CACHE_FORMAT", "MigrationReport", "migrate_json_cache"]
+
+#: Format tag of a JSON point-cache record.
+CACHE_FORMAT = "repro-sweep-cache/1"
+
+
+@dataclass(frozen=True)
+class CacheRecord:
+    """One validated JSON cache record.
+
+    ``device``, ``n`` and ``config`` are denormalized copies of the
+    inputs the ``key`` was hashed from, kept so the record is readable.
+    """
+
+    key: str
+    device: str
+    n: int
+    config: dict[str, int]
+    time_s: float
+    energy_j: float
+    model_version: str
+
+    @classmethod
+    def from_dict(cls, doc: Any) -> "CacheRecord":
+        """Parse one record; raises ValueError/KeyError/TypeError."""
+        if not isinstance(doc, dict):
+            raise ValueError("cache record must be a JSON object")
+        if doc.get("format") != CACHE_FORMAT:
+            raise ValueError(
+                f"unsupported cache record format {doc.get('format')!r}"
+            )
+        time_s = float(doc["time_s"])
+        energy_j = float(doc["energy_j"])
+        if not math.isfinite(time_s) or not math.isfinite(energy_j):
+            raise ValueError("cached objectives must be finite")
+        if time_s < 0 or energy_j < 0:
+            raise ValueError("cached objectives must be non-negative")
+        config = doc["config"]
+        if not isinstance(config, dict):
+            raise ValueError("cached config must be a mapping")
+        return cls(
+            key=str(doc["key"]),
+            device=str(doc["device"]),
+            n=int(doc["n"]),
+            config={str(k): int(v) for k, v in config.items()},
+            time_s=time_s,
+            energy_j=energy_j,
+            model_version=str(doc["model_version"]),
+        )
 
 
 @dataclass
@@ -43,7 +98,7 @@ class MigrationReport:
     migrated: int = 0
     #: Records whose key matches no registry device at its default
     #: calibration (e.g. sensitivity-study perturbations) — left in the
-    #: JSON cache, which remains fully supported.
+    #: JSON cache untouched.
     skipped_foreign: int = 0
     #: Unreadable/malformed record files.
     skipped_corrupt: int = 0
@@ -109,10 +164,7 @@ def migrate_json_cache(
     for path in sorted(cache_root.glob("??/*.json")):
         report.scanned += 1
         try:
-            doc = json.loads(path.read_text())
-            if not isinstance(doc, dict):
-                raise ValueError("cache record must be a JSON object")
-            record = CacheRecord.from_dict(doc)
+            record = CacheRecord.from_dict(json.loads(path.read_text()))
         except (ValueError, KeyError, TypeError, OSError):
             report.skipped_corrupt += 1
             continue

@@ -1,60 +1,39 @@
-"""Parallel sweep engine, columnar result store, and session planner.
+"""Sweep evaluation: requests, the session planner and the benchmark.
 
 The paper's results (Figs. 2, 7, 8 and the headline statistics) all
 derive from exhaustive sweeps of the ``(BS, G, R)`` configuration
-space per matrix size and device.  This package provides the reusable
-substrate every sweep-driven experiment runs on:
+space per matrix size and device.  This package provides the one
+evaluation path every sweep-driven command and experiment runs on:
 
-* :class:`~repro.sweep.engine.SweepEngine` — fans the
-  ``(device, N, config)`` cross-product out over a
-  ``concurrent.futures.ProcessPoolExecutor`` with a deterministic
-  serial path.  ``mode="auto"`` (the default) picks serial below
-  :data:`~repro.sweep.engine.PARALLEL_MIN_POINTS` points, where pool
-  startup dominates; the parallel path is bit-identical to the serial
-  path (enforced by ``tests/test_sweep_parity.py``).
-* :class:`~repro.sweep.cache.SweepCache` — a content-addressed on-disk
-  JSON cache keyed by a stable hash of the device specification,
-  calibration constants, matrix size, configuration and model version
-  (:func:`~repro.sweep.keys.sweep_key`), so repeated experiment and
-  benchmark runs skip already-computed points and interrupted sweeps
-  resume where they stopped.
-* :class:`~repro.store.ColumnarStore` — the shard-level columnar
-  sibling of the JSON cache: one ``.npz`` per ``(device, N,
-  model_version, backend)``, looked up for a whole configuration array
-  at once (``engine = SweepEngine(store_dir=...)``).  ``repro cache
-  migrate`` converts a JSON cache into it losslessly.
-* :class:`~repro.sweep.planner.EvalPlanner` — the cross-experiment
-  evaluation planner: collects every :class:`~repro.sweep.plan.
-  SweepRequest` a session of experiments will make, deduplicates,
-  partitions against the store in one vectorized pass, and fills the
-  misses through :mod:`repro.simgpu.batch` mega-batches.  It is a
-  drop-in ``engine=`` for all sweep-driven experiments (``repro all``).
 * :class:`~repro.sweep.plan.SweepRequest` — a declarative description
   of one ``(device, N)`` sweep, resolvable to its configuration list.
-* a ``backend="vectorized"`` execution path that evaluates all missing
-  points of a sweep in one NumPy batch (:mod:`repro.simgpu.batch`),
-  and :func:`~repro.sweep.bench.run_benchmark` which times the
-  backends and the planner against each other (``repro bench``).
+* :class:`~repro.sweep.planner.EvalPlanner` — the sweep engine:
+  collects the requests a session will make, deduplicates them,
+  partitions them against the columnar store (:mod:`repro.store`) in
+  one vectorized pass, and fills the misses as
+  :mod:`repro.simgpu.batch` mega-batches (``backend="vectorized"``,
+  the default) or per-point reference calls (``backend="scalar"``).
+  Results are served as :data:`~repro.sweep.plan.POINT_DTYPE`
+  structured arrays (``table``) or ParetoPoints
+  (``evaluate_configs``).
+* :func:`~repro.sweep.keys.shard_digest` /
+  :func:`~repro.sweep.keys.sweep_key` — stable content identities of a
+  store shard and of one point (the latter names the records of the
+  retired JSON point cache, which ``repro cache migrate`` imports).
+* :func:`~repro.sweep.bench.run_benchmark` — times the backends and
+  the planner session against each other (``repro bench``).
 """
 
 from repro.sweep.bench import BenchmarkCase, run_benchmark
-from repro.sweep.cache import CacheRecord, SweepCache
-from repro.sweep.engine import (
-    BACKENDS,
-    MODES,
-    PARALLEL_MIN_POINTS,
-    SweepEngine,
-    SweepStats,
-    chunk_size_for,
-)
 from repro.sweep.keys import (
     MODEL_VERSION,
     canonical_json,
     shard_digest,
     sweep_key,
 )
-from repro.sweep.plan import SweepRequest, resolve_device
+from repro.sweep.plan import POINT_DTYPE, SweepRequest, resolve_device
 from repro.sweep.planner import (
+    BACKENDS,
     EvalPlanner,
     PlannerStats,
     collect_session_requests,
@@ -63,18 +42,12 @@ from repro.sweep.planner import (
 __all__ = [
     "BACKENDS",
     "BenchmarkCase",
-    "CacheRecord",
     "EvalPlanner",
     "MODEL_VERSION",
-    "MODES",
-    "PARALLEL_MIN_POINTS",
+    "POINT_DTYPE",
     "PlannerStats",
-    "SweepCache",
-    "SweepEngine",
     "SweepRequest",
-    "SweepStats",
     "canonical_json",
-    "chunk_size_for",
     "collect_session_requests",
     "resolve_device",
     "run_benchmark",

@@ -1,15 +1,18 @@
-"""Stable content-addressed keys for sweep points.
+"""Stable content-addressed identities for sweep points and shards.
 
 A sweep point is fully determined by the device specification, the
 calibration constants, the matrix size, the ``(BS, G, R)``
-configuration, and the simulator version.  :func:`sweep_key` hashes a
-canonical JSON encoding of exactly those inputs, so
+configuration, and the simulator version.  :func:`shard_digest` hashes
+a canonical JSON encoding of all of those but the configuration — the
+identity of one columnar store shard — and :func:`sweep_key` adds the
+configuration (the key of one record of the JSON point cache that
+``repro cache migrate`` imports).  So
 
-* two runs that would compute the same number share one cache entry,
+* two runs that would compute the same numbers share one shard,
 * any change to a spec constant, a calibration constant (including the
   sensitivity study's perturbed calibrations) or the model version
-  produces a different key — a stale entry can never be returned for a
-  changed model.
+  produces a different identity — a stale value can never be returned
+  for a changed model.
 
 JSON float encoding uses ``repr`` (shortest round-trip), so the key is
 stable across processes and Python sessions on the same platform.
@@ -52,9 +55,8 @@ def sweep_key(
     """SHA-256 content key of one ``(device, N, config)`` sweep point.
 
     ``backend`` names the execution path that computed the point.  The
-    scalar reference path is the identity of the cache — its keys (and
-    every existing cache entry and golden snapshot) are unchanged — so
-    ``"scalar"`` adds nothing to the payload.  Any other backend is
+    scalar reference path adds nothing to the payload, so its keys
+    never changed when backends were introduced.  Any other backend is
     mixed into the key: its results agree with the reference only to a
     parity tolerance, and must never be served where reference values
     were requested (or vice versa).

@@ -1,21 +1,38 @@
-"""Declarative sweep requests and device resolution.
+"""Declarative sweep requests, device resolution and the result row type.
 
 A :class:`SweepRequest` names one ``(device, N)`` sweep — device (by
 registry key or spec), matrix size, workload ``T = G·R``, optional
 tile floor and calibration override — and resolves to the exact
-configuration list the serial reference path enumerates.  The engine
-evaluates requests; everything about *what* to evaluate lives here.
+configuration list the serial reference path enumerates.  The planner
+(:mod:`repro.sweep.planner`) evaluates requests and serves their
+results as :data:`POINT_DTYPE` rows; everything about *what* to
+evaluate lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
 from repro.machines.specs import GPUSpec, get_machine
 from repro.simgpu.calibration import GPUCalibration, calibration_for
 
-__all__ = ["SweepRequest", "resolve_device"]
+__all__ = ["POINT_DTYPE", "SweepRequest", "resolve_device"]
+
+#: Structured row type results flow through on the hot path: the
+#: configuration key columns plus the two objective columns.  The
+#: planner's serving tables and ``MatmulGPUApp.sweep_table`` use it.
+POINT_DTYPE = np.dtype(
+    [
+        ("bs", np.int64),
+        ("g", np.int64),
+        ("r", np.int64),
+        ("time_s", np.float64),
+        ("energy_j", np.float64),
+    ]
+)
 
 
 def resolve_device(device: str | GPUSpec) -> GPUSpec:

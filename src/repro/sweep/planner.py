@@ -28,11 +28,12 @@ The hot path is columnar end to end — packed int64 keys, float64
 objective columns, structured arrays — with zero per-point dict
 materialization; :class:`~repro.core.pareto.ParetoPoint` records are
 only built at the analysis boundary when an experiment asks for its
-points.  The planner implements the engine protocol
-(:meth:`EvalPlanner.evaluate_configs` / :meth:`EvalPlanner.evaluate`),
-so every experiment's ``engine=`` parameter accepts it unchanged, and
-unplanned requests (e.g. probes of a search loop) are filled lazily
-through the same machinery.
+points.  The planner is the one sweep engine: every experiment's
+``engine=`` parameter, ``repro experiment``/``sweep``/``tradeoff``/
+``all`` and the benchmarks go through it.  A single-experiment run is
+just a session whose requests arrive one at a time: unplanned
+requests (e.g. probes of a search loop) are filled lazily through the
+same machinery.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ from repro.apps.matmul_gpu import MatmulConfig
 from repro.core.pareto import ParetoPoint
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
-from repro.sweep.engine import BACKENDS
-from repro.sweep.plan import SweepRequest
+from repro.sweep.plan import POINT_DTYPE, SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.columnar import ColumnarStore, ShardKey
 
 __all__ = [
+    "BACKENDS",
     "POINT_DTYPE",
     "EvalPlanner",
     "PlannerStats",
@@ -62,10 +63,11 @@ __all__ = [
     "SESSION_EXPERIMENTS",
 ]
 
-#: Structured row type results flow through on the hot path (defined
-#: in :mod:`repro.sweep.shm`, shared with the shared-memory transport;
-#: re-exported here for compatibility).
-from repro.sweep.shm import POINT_DTYPE  # noqa: E402
+#: How missing points can be computed.  ``vectorized`` evaluates a
+#: whole mega-batch in one NumPy pass (:mod:`repro.simgpu.batch`);
+#: ``scalar`` calls ``GPUDevice.run_matmul`` per point — the reference
+#: the vectorized model is tested against.
+BACKENDS = ("scalar", "vectorized")
 
 #: The sweep-driven experiments ``repro all`` runs through one planner.
 SESSION_EXPERIMENTS = (
@@ -171,10 +173,11 @@ class EvalPlanner:
     backend:
         How misses are computed: ``"vectorized"`` (default — one
         :func:`repro.simgpu.batch.batch_run_matmul` mega-batch per
-        distinct spec/calibration) or ``"scalar"`` (the per-point
-        reference path; bit-identical to the serial engine).  Stored
-        results are tagged per backend, exactly like the engine's
-        cache keys.
+        distinct spec/calibration, within 1e-9 relative of the
+        reference) or ``"scalar"`` (the per-point
+        ``GPUDevice.run_matmul`` reference, bit-identical to
+        ``MatmulGPUApp.sweep_points``).  Stored shards are tagged per
+        backend, so the two never serve each other's values.
     """
 
     def __init__(
@@ -356,7 +359,7 @@ class EvalPlanner:
                 grp.merge(p, t, e)
             offset = end
 
-    # -- serving (engine protocol) ------------------------------------------
+    # -- serving ------------------------------------------------------------
 
     def table(
         self,
@@ -416,7 +419,7 @@ class EvalPlanner:
     def evaluate_configs(
         self, request: SweepRequest, configs: list[MatmulConfig]
     ) -> list[ParetoPoint]:
-        """Engine-protocol serving: ParetoPoints in ``configs`` order.
+        """ParetoPoints of ``configs``, in ``configs`` order.
 
         Dict/ParetoPoint materialization happens here, at the analysis
         boundary, and nowhere on the fill path.
@@ -437,7 +440,7 @@ class EvalPlanner:
         *,
         cal: GPUCalibration | None = None,
     ) -> ParetoPoint:
-        """Evaluate one configuration (engine protocol)."""
+        """Evaluate one configuration."""
         if isinstance(config, dict):
             config = MatmulConfig(
                 bs=config["bs"], g=config["g"], r=config["r"]
@@ -446,7 +449,11 @@ class EvalPlanner:
         return self.evaluate_configs(request, [config])[0]
 
     def sweep(self, device: str | GPUSpec, n: int, **kwargs) -> list[ParetoPoint]:
-        """Full-sweep convenience mirroring :meth:`SweepEngine.sweep`."""
+        """Every valid configuration of one sweep, as ParetoPoints.
+
+        Same enumeration and order as
+        :meth:`repro.apps.matmul_gpu.MatmulGPUApp.sweep_points`.
+        """
         request = SweepRequest(device=device, n=n, **kwargs)
         return self.evaluate_configs(request, request.configs())
 

@@ -98,7 +98,7 @@ class TestWeakEPStudyParity:
         assert got.local_headline is None
 
     def test_empty_table_raises(self):
-        from repro.sweep.shm import POINT_DTYPE
+        from repro.sweep.plan import POINT_DTYPE
 
         with pytest.raises(ValueError, match="empty sweep"):
             weak_ep_study_table("p100", 1024, np.empty(0, POINT_DTYPE))
@@ -205,20 +205,20 @@ class TestFigureRenderParity:
         per-point ``engine.evaluate`` loop (same engine, same backend —
         backends themselves may differ in the last ulp)."""
         from repro.experiments import budgeted_search
-        from repro.sweep.engine import SweepEngine
+        from repro.sweep.planner import EvalPlanner
 
         class PointOnlyEngine:
             """Engine protocol without ``table`` — forces the legacy path."""
 
             def __init__(self):
-                self._inner = SweepEngine(backend="vectorized")
+                self._inner = EvalPlanner()
 
             def evaluate(self, *args, **kwargs):
                 return self._inner.evaluate(*args, **kwargs)
 
         result = budgeted_search.run(
             budget_fractions=(0.2, 0.5),
-            engine=SweepEngine(backend="vectorized"),
+            engine=EvalPlanner(),
         )
         legacy = budgeted_search.run(
             budget_fractions=(0.2, 0.5), engine=PointOnlyEngine()

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sweep.planner import SESSION_EXPERIMENTS
+
+
+@pytest.fixture(scope="module")
+def all_stdout() -> str:
+    """Stdout of one in-memory ``repro all`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["all"]) == 0
+    return out.getvalue()
 
 
 class TestParser:
@@ -26,33 +39,59 @@ class TestParser:
 class TestEngineFlags:
     def test_sweep_engine_flag_defaults(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.jobs == 1
-        assert args.cache_dir is None
-        assert args.no_cache is False
+        assert args.store_dir is None
 
     def test_experiment_accepts_engine_flags(self):
         args = build_parser().parse_args(
-            ["experiment", "fig7", "--jobs", "4", "--cache-dir", "/tmp/c"]
+            ["experiment", "fig7", "--store-dir", "/tmp/s"]
         )
-        assert args.jobs == 4
-        assert args.cache_dir == "/tmp/c"
+        assert args.store_dir == "/tmp/s"
 
-    def test_jobs_below_one_is_a_clean_error(self, capsys):
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--n", "0"], "must be at least 1 (got 0)"),
+            (["sweep", "--n", "-4"], "must be at least 1 (got -4)"),
+            (["sweep", "--products", "0"], "must be at least 1 (got 0)"),
+            (["tradeoff", "--n", "0"], "must be at least 1 (got 0)"),
+            (["tradeoff", "--budget", "nan"], "finite, non-negative"),
+            (["tradeoff", "--budget", "inf"], "finite, non-negative"),
+            (["tradeoff", "--budget", "-3"], "finite, non-negative"),
+            (["tradeoff", "--budget", "five"], "is not a number"),
+        ],
+    )
+    def test_invalid_sizes_and_budgets_are_clean_errors(
+        self, argv, message, capsys
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", "fig7", "--jobs", "0"])
+            main(argv)
         assert exc.value.code == 2  # argparse usage error, not a traceback
         err = capsys.readouterr().err
-        assert "--jobs" in err
-        assert "must be at least 1 (got 0)" in err
+        assert argv[1] in err
+        assert message in err
 
-    def test_negative_jobs_is_a_clean_error(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "fig7", "--jobs", "2"],
+            ["sweep", "--cache-dir", "/tmp/c"],
+            ["sweep", "--no-cache"],
+            ["bench", "--jobs", "2"],
+        ],
+    )
+    def test_removed_engine_knobs_are_rejected(self, argv, capsys):
+        """Pool/JSON-cache flags fail loudly instead of being ignored."""
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--jobs", "-3"])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert "must be at least 1 (got -3)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        flag = next(a for a in argv if a.startswith("--"))
+        assert "unrecognized arguments" in err and flag in err
 
-    def test_backend_defaults_to_scalar(self):
-        assert build_parser().parse_args(["sweep"]).backend == "scalar"
+    @pytest.mark.parametrize("command", ["experiment", "sweep", "all"])
+    def test_backend_defaults_to_vectorized(self, command):
+        argv = [command, "fig7"] if command == "experiment" else [command]
+        assert build_parser().parse_args(argv).backend == "vectorized"
 
     def test_backend_accepts_vectorized(self):
         args = build_parser().parse_args(
@@ -67,12 +106,12 @@ class TestEngineFlags:
         assert "invalid choice: 'cuda'" in capsys.readouterr().err
 
     def test_vectorized_sweep_output_matches_scalar(self, capsys):
-        assert main(["sweep", "--device", "p100", "--n", "4096"]) == 0
-        scalar = capsys.readouterr().out
         assert main(
             ["sweep", "--device", "p100", "--n", "4096",
-             "--backend", "vectorized"]
+             "--backend", "scalar"]
         ) == 0
+        scalar = capsys.readouterr().out
+        assert main(["sweep", "--device", "p100", "--n", "4096"]) == 0
         # Front membership and the printed (3-decimal) objectives agree.
         assert capsys.readouterr().out == scalar
 
@@ -88,25 +127,19 @@ class TestBenchCommand:
         import json
 
         doc = json.loads(out.read_text())
-        assert doc["version"] == "repro-bench/5"
+        assert doc["version"] == "repro-bench/6"
         (case,) = doc["cases"]
         assert case["device"] == "p100" and case["n"] == 1024
         assert case["configs"] == 146
         assert case["max_rel_deviation"] <= 1e-9
         assert case["vectorized_s"] > 0 and case["scalar_s"] > 0
-        assert case["parallel_s"] is None  # --quick skips the pool
-        assert case["auto_mode"] == "serial"  # 146 pts < threshold
         assert "speedup_vectorized" in case
+        assert set(case["samples"]) == {"scalar", "vectorized"}
         planner = doc["planner"]  # --quick keeps the planner case
         assert planner["unique_points"] > 0
         assert planner["dedup_ratio"] > 1.0
         assert planner["planner_warm_s"] > 0
-        crossover = doc["parallel_crossover"]
-        assert crossover["transport"] == "shared-memory"
-        assert crossover["configured_threshold"] > 0
-        assert [r["points"] for r in crossover["rows"]] == sorted(
-            r["points"] for r in crossover["rows"]
-        )
+        assert "parallel_crossover" not in doc
         incremental = doc["incremental_front"]
         assert incremental["equivalent"] is True
         assert incremental["front_size"] > 0
@@ -130,31 +163,6 @@ class TestBenchCommand:
         )
         assert "vectorized" in capsys.readouterr().out
 
-    def test_sweep_with_cache_dir_populates_cache(self, tmp_path, capsys):
-        cache = tmp_path / "sweeps"
-        assert main(
-            ["sweep", "--device", "k40c", "--n", "2048",
-             "--cache-dir", str(cache)]
-        ) == 0
-        files = list(cache.glob("??/*.json"))
-        assert len(files) == 146  # one record per configuration
-        # Warm rerun: identical output, zero recomputations.
-        first = capsys.readouterr().out
-        assert main(
-            ["sweep", "--device", "k40c", "--n", "2048",
-             "--cache-dir", str(cache)]
-        ) == 0
-        assert capsys.readouterr().out == first
-        assert len(list(cache.glob("??/*.json"))) == 146
-
-    def test_no_cache_overrides_env(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "from-env"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-        assert main(
-            ["sweep", "--device", "k40c", "--n", "2048", "--no-cache"]
-        ) == 0
-        assert not cache.exists()
-
     def test_sweep_with_store_dir_populates_store(self, tmp_path, capsys):
         store = tmp_path / "store"
         assert main(
@@ -171,13 +179,6 @@ class TestBenchCommand:
              "--store-dir", str(store)]
         ) == 0
         assert capsys.readouterr().out == first
-
-    def test_store_dir_and_cache_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(
-                ["sweep", "--store-dir", str(tmp_path / "s"),
-                 "--cache-dir", str(tmp_path / "c")]
-            )
 
 
 class TestAllCommand:
@@ -202,18 +203,35 @@ class TestAllCommand:
             "planner session:"
         )[0]
 
-    def test_all_without_store_runs_in_memory(self, capsys):
-        assert main(["all"]) == 0
-        assert "planner session:" in capsys.readouterr().out
+    def test_all_without_store_runs_in_memory(self, all_stdout):
+        assert "planner session:" in all_stdout
+
+    @pytest.mark.parametrize("exp_id", SESSION_EXPERIMENTS)
+    def test_experiment_output_equals_its_all_section(
+        self, exp_id, all_stdout, capsys
+    ):
+        """One engine: a single experiment prints exactly what the
+        session prints for it."""
+        headers = [f"== {e} ==\n" for e in SESSION_EXPERIMENTS]
+        start = all_stdout.index(f"== {exp_id} ==\n")
+        body = all_stdout[start + len(f"== {exp_id} ==\n"):]
+        ends = [body.index(h) for h in headers if h in body]
+        ends.append(body.index("planner session:"))
+        section = body[: min(ends)]
+        assert main(["experiment", exp_id]) == 0
+        assert capsys.readouterr().out + "\n" == section
 
 
 class TestCacheMigrateCommand:
-    def test_migrate_then_store_backed_rerun(self, tmp_path, capsys):
+    def test_migrate_then_store_backed_rerun(
+        self, tmp_path, capsys, json_cache
+    ):
         cache = tmp_path / "cache"
         store = tmp_path / "store"
+        json_cache(cache, "p100", 2048)
         assert main(
             ["sweep", "--device", "p100", "--n", "2048",
-             "--cache-dir", str(cache)]
+             "--backend", "scalar"]
         ) == 0
         sweep_out = capsys.readouterr().out
         assert main(
@@ -224,25 +242,11 @@ class TestCacheMigrateCommand:
         # The migrated store serves the same sweep verbatim.
         assert main(
             ["sweep", "--device", "p100", "--n", "2048",
-             "--store-dir", str(store)]
+             "--backend", "scalar", "--store-dir", str(store)]
         ) == 0
         assert capsys.readouterr().out == sweep_out
         # Source cache untouched.
         assert len(list(cache.glob("??/*.json"))) == 146
-
-    def test_env_cache_dir_used_by_default(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "from-env"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-        assert main(["sweep", "--device", "k40c", "--n", "2048"]) == 0
-        assert any(cache.glob("??/*.json"))
-
-    def test_parallel_sweep_output_matches_serial(self, tmp_path, capsys):
-        assert main(["sweep", "--device", "p100", "--n", "4096"]) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            ["sweep", "--device", "p100", "--n", "4096", "--jobs", "2"]
-        ) == 0
-        assert capsys.readouterr().out == serial
 
 
 class TestCommands:

@@ -68,14 +68,15 @@ class TestGoldenSnapshots:
         )
 
     def test_headline_through_engine_matches_snapshot(self, tmp_path):
-        """The engine path renders the same golden text, warm or cold."""
-        from repro.sweep import SweepEngine
+        """The planner renders the same golden text, cold or warm store."""
+        from repro.sweep import EvalPlanner
 
-        engine = SweepEngine(jobs=1, cache_dir=tmp_path)
+        cold = EvalPlanner(store_dir=tmp_path)
         assert_matches_snapshot(
-            "headline", render_headline_snapshot(headline.run(engine=engine))
+            "headline", render_headline_snapshot(headline.run(engine=cold))
         )
-        warm = SweepEngine(jobs=1, cache_dir=tmp_path)
+        assert cold.stats.computed > 0
+        warm = EvalPlanner(store_dir=tmp_path)
         assert_matches_snapshot(
             "headline", render_headline_snapshot(headline.run(engine=warm))
         )

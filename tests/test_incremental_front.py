@@ -133,7 +133,7 @@ class TestIncrementalEquivalence:
         assert len(inc) == len(pareto_front(cloud))
 
     def test_extend_table_matches_point_inserts(self):
-        from repro.sweep.shm import POINT_DTYPE
+        from repro.sweep.plan import POINT_DTYPE
 
         for seed in SEEDS:
             cloud = random_cloud(seed)

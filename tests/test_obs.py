@@ -24,7 +24,7 @@ from repro.obs.telemetry import _NOOP_SPAN
 from repro.simgpu.calibration import K40C_CAL, P100_CAL
 from repro.store import ColumnarStore, pack_configs, shard_key
 from repro.store.columnar import StoreIntegrityWarning
-from repro.sweep import EvalPlanner, SweepEngine, SweepRequest
+from repro.sweep import EvalPlanner, SweepRequest
 
 
 @pytest.fixture(autouse=True)
@@ -99,12 +99,6 @@ class TestMetrics:
         hist = tel.histograms["wall"]
         assert (hist.count, hist.total, hist.min, hist.max) == (3, 6.0, 1.0, 3.0)
         assert hist.mean == 2.0
-
-    def test_merge_counts_folds_worker_side_increments(self):
-        tel = obs.set_telemetry(obs.Telemetry("summary"))
-        tel.count("chunks")
-        tel.merge_counts({"chunks": 2, "points": 100})
-        assert tel.counters == {"chunks": 3, "points": 100}
 
     def test_snapshot_sorts_names(self):
         tel = obs.set_telemetry(obs.Telemetry("summary"))
@@ -299,11 +293,10 @@ class TestOffPathOverhead:
         time of one vectorized sweep — the overhead must stay < 2%.
         """
         assert obs.get_telemetry().enabled is False
-        engine = SweepEngine(backend="vectorized")
         req = SweepRequest(device="p100", n=4096)
         configs = req.configs()
         sweep_s = min(
-            _timed(lambda: engine.evaluate_configs(req, configs))
+            _timed(lambda: EvalPlanner().evaluate_configs(req, configs))
             for _ in range(5)
         )
 
@@ -394,7 +387,7 @@ class TestCliTelemetry:
         out = capsys.readouterr().out
         assert "-- telemetry summary --" in out
         assert "cli.sweep" in out
-        assert "sweep.points.requested" in out
+        assert "planner.points.requested" in out
 
     def test_off_is_byte_identical_to_default(self, capsys):
         assert main(["sweep", "--device", "p100", "--n", "2048"]) == 0

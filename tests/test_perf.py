@@ -271,7 +271,7 @@ class TestIngest:
 
 class TestHistoryStore:
     DOC = {
-        "version": "repro-bench/5",
+        "version": "repro-bench/6",
         "git_sha": "deadbeef",
         "inputs_digest": "ab" * 32,
         "repeats": 3,
@@ -392,9 +392,9 @@ class TestMannWhitney:
 
 
 def _doc(samples, **extra):
-    """A minimal bench v5 document with one vectorized case."""
+    """A minimal bench v6 document with one vectorized case."""
     doc = {
-        "version": "repro-bench/5",
+        "version": "repro-bench/6",
         "git_sha": "cafe" * 10,
         "inputs_digest": "00" * 32,
         "repeats": len(samples),
@@ -561,7 +561,7 @@ class TestOpenMetrics:
         text = path.read_text()
         assert "# TYPE repro_run_info gauge" in text
         assert 'command="sweep"' in text
-        assert "repro_sweep_points_requested_total" in text
+        assert "repro_planner_points_requested_total" in text
 
 
 class TestPerfCli:

@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.sweep.planner` — the session planner.
 
-Engine-protocol parity (bit-exact against the serial reference for the
-scalar backend, against the batch backend for the vectorized one),
+Serving parity (bit-exact against the per-point reference loop for the
+scalar backend, against the batch model for the vectorized one),
 cross-experiment dedup accounting, warm-store zero-compute reruns,
 mixed-size mega-batch exactness, and golden-snapshot identity of the
 planner-served figure set.
@@ -12,25 +12,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps.matmul_gpu import MatmulConfig
-from repro.sweep import EvalPlanner, SweepEngine, SweepRequest
+from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.core.pareto import ParetoPoint
+from repro.machines.specs import K40C, P100
+from repro.simgpu.batch import evaluate_configs_batch
+from repro.sweep import EvalPlanner, SweepRequest
 from repro.sweep.planner import POINT_DTYPE, collect_session_requests
 
 
+def batch_points(req: SweepRequest) -> list[ParetoPoint]:
+    """One request evaluated as its own batch, outside any planner."""
+    configs = req.configs()
+    pairs = evaluate_configs_batch(req.spec, req.calibration, req.n, configs)
+    return [
+        ParetoPoint(time_s=t, energy_j=e, config=c.as_dict())
+        for c, (t, e) in zip(configs, pairs)
+    ]
+
+
 class TestPlannerParity:
-    def test_scalar_backend_matches_serial_engine_bit_exactly(self):
+    def test_scalar_backend_matches_reference_loop_bit_exactly(self):
         req = SweepRequest(device="p100", n=4096)
-        reference = SweepEngine().evaluate_configs(req, req.configs())
+        reference = req.app().sweep_points(4096)
         planner = EvalPlanner(backend="scalar")
         assert planner.evaluate_configs(req, req.configs()) == reference
 
-    def test_vectorized_backend_matches_batch_engine_bit_exactly(self):
+    def test_vectorized_backend_matches_batch_model_bit_exactly(self):
         req = SweepRequest(device="k40c", n=4096)
-        reference = SweepEngine(backend="vectorized").evaluate_configs(
-            req, req.configs()
-        )
         planner = EvalPlanner()
-        assert planner.evaluate_configs(req, req.configs()) == reference
+        assert planner.evaluate_configs(req, req.configs()) == batch_points(req)
 
     def test_mixed_size_mega_batch_is_bit_exact(self, tmp_path):
         """Lanes of a mixed-N fill equal their per-sweep evaluations."""
@@ -44,22 +54,22 @@ class TestPlannerParity:
         planner.execute()
         assert planner.stats.batches == 1  # one (spec, cal) mega-batch
         for req in reqs:
-            per_sweep = SweepEngine(backend="vectorized").evaluate_configs(
-                req, req.configs()
-            )
+            per_sweep = batch_points(req)
             assert planner.evaluate_configs(req, req.configs()) == per_sweep
 
     def test_evaluate_single_point(self):
         cfg = MatmulConfig(bs=32, g=1, r=24)
         planner = EvalPlanner(backend="scalar")
-        expected = SweepEngine().evaluate("k40c", 4096, cfg)
+        expected = MatmulGPUApp(K40C).evaluate(4096, cfg)
         assert planner.evaluate("k40c", 4096, cfg) == expected
-        # Dict configs are accepted too (engine protocol).
+        # Dict configs are accepted too.
         assert planner.evaluate("k40c", 4096, cfg.as_dict()) == expected
 
-    def test_sweep_convenience_matches_engine(self):
+    def test_sweep_convenience_matches_app(self):
         planner = EvalPlanner(backend="scalar")
-        assert planner.sweep("p100", 2048) == SweepEngine().sweep("p100", 2048)
+        assert planner.sweep("p100", 2048) == MatmulGPUApp(P100).sweep_points(
+            2048
+        )
 
 
 class TestPlannerAccounting:
@@ -204,8 +214,7 @@ class TestPlannerServedExperiments:
         assert session.stats.computed == computed_before
         # Bit-identical to the same backend run per-experiment, and the
         # structural verdicts match the scalar reference.
-        vec = SweepEngine(backend="vectorized")
-        assert fig2 == fig2_p100_n18432.run(engine=vec)
+        assert fig2 == fig2_p100_n18432.run(engine=EvalPlanner())
         assert sens.fraction_held == sensitivity.run().fraction_held
 
     def test_budgeted_search_probes_served_from_session(self, session):
@@ -216,7 +225,5 @@ class TestPlannerServedExperiments:
         # Greedy probes hit points outside the default sweep; the
         # session's min_bs=1 request covers them, so nothing computes.
         assert session.stats.computed == computed_before
-        reference = budgeted_search.run(
-            engine=SweepEngine(backend="vectorized")
-        )
+        reference = budgeted_search.run(engine=EvalPlanner())
         assert result == reference

@@ -32,7 +32,8 @@ from repro.store.columnar import (
     SHARD_FORMAT,
     StoreIntegrityWarning,
 )
-from repro.sweep import SweepEngine, SweepRequest
+from repro.store.migrate import CacheRecord
+from repro.sweep import EvalPlanner, SweepRequest
 
 
 def _p100_key(n=4096, backend="scalar"):
@@ -95,7 +96,6 @@ class TestShardKey:
         assert key.digest[:16] in key.filename
         assert key.filename.endswith(".npy")
         assert key.meta_filename.endswith(".meta.json")
-        assert key.legacy_filename.endswith(".npz")
         assert key.meta_filename.startswith(key.stem)
 
 
@@ -365,7 +365,7 @@ class TestUnknownDeviceShards:
 
 
 class TestShardFormatV2:
-    """The mmap fast path: lazy opens, copy-on-serve, legacy upgrade."""
+    """The mmap fast path: lazy opens, copy-on-serve, foreign files."""
 
     @pytest.fixture()
     def tel(self):
@@ -475,15 +475,16 @@ class TestShardFormatV2:
         assert np.isnan(times).all()
         assert fresh.corrupt_shards == 1
 
-    def test_legacy_npz_shard_is_read_and_upgraded(self, tmp_path):
-        """A v1 .npz at a shard's identity serves transparently and is
-        rewritten in v2 form (npz removed) by the next append."""
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        order = np.argsort(packed)
+    def test_stray_npz_at_identity_is_never_served(self, tmp_path):
+        """A file of the retired v1 ``.npz`` format at a shard's identity
+        is not read: its points are recomputed and a v2 pair written."""
+        req = SweepRequest(device="p100", n=4096)
+        key = shard_key(P100, P100_CAL, 4096)
         store = ColumnarStore(tmp_path)
         store.root.mkdir(parents=True, exist_ok=True)
+        configs = req.configs()
+        packed, bs, g, r = pack_configs(configs)
+        order = np.argsort(packed)
         meta = {
             "format": "repro-sweep-store/1",
             "device": key.device,
@@ -493,30 +494,27 @@ class TestShardFormatV2:
             "digest": key.digest,
             "points": len(packed),
         }
-        with open(store.legacy_path(key), "wb") as fh:
+        with open(tmp_path / f"{key.stem}.npz", "wb") as fh:
             np.savez(
                 fh,
                 meta=np.array(json.dumps(meta)),
                 packed=packed[order],
-                bs=bs[order].astype(np.int64),
-                g=g[order].astype(np.int64),
-                r=r[order].astype(np.int64),
-                time_s=t[order],
-                energy_j=e[order],
+                bs=bs[order],
+                g=g[order],
+                r=r[order],
+                time_s=np.full(len(packed), 1.0),  # wrong on purpose
+                energy_j=np.full(len(packed), 2.0),
             )
-        times, energies, hit = store.lookup(key, packed)
-        assert hit.all()
-        np.testing.assert_array_equal(times, t)
-        np.testing.assert_array_equal(energies, e)
-        # The upgrade: append one new row -> v2 pair written, npz gone.
-        store.append(key, [31], [7], [99], [1.0], [2.0])
+        planner = EvalPlanner(store=store, backend="scalar")
+        points = planner.evaluate_configs(req, configs)
+        assert points == MatmulGPUApp(P100).sweep_points(4096)
+        assert planner.stats.store_hits == 0
+        assert planner.stats.computed == len(configs)
         assert store.shard_path(key).is_file()
         assert store.meta_path(key).is_file()
-        assert not store.legacy_path(key).is_file()
-        fresh = ColumnarStore(tmp_path)
-        times2, _, hit2 = fresh.lookup(key, packed)
-        assert hit2.all()
-        np.testing.assert_array_equal(times2, t)
+        warm = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        assert warm.evaluate_configs(req, configs) == points
+        assert warm.stats.computed == 0
 
     def test_rebuilt_manifest_covers_v2_pairs(self, tmp_path):
         key = _p100_key()
@@ -530,74 +528,68 @@ class TestShardFormatV2:
         assert entry["file"].endswith(".npy")
 
 
-class TestEngineWithStore:
-    def test_store_and_cache_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            SweepEngine(cache_dir=tmp_path / "c", store_dir=tmp_path / "s")
-
+class TestPlannerWithStore:
     def test_store_dir_and_store_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
-            SweepEngine(
+            EvalPlanner(
                 store_dir=tmp_path, store=ColumnarStore(tmp_path)
             )
 
     def test_cold_then_warm_is_bit_identical(self, tmp_path):
-        reference = SweepEngine().sweep("p100", 4096)
-        cold = SweepEngine(store_dir=tmp_path)
+        reference = MatmulGPUApp(P100).sweep_points(4096)
+        cold = EvalPlanner(store_dir=tmp_path, backend="scalar")
         assert cold.sweep("p100", 4096) == reference
         assert cold.stats.computed == len(reference)
 
-        warm = SweepEngine(store_dir=tmp_path)
+        warm = EvalPlanner(store_dir=tmp_path, backend="scalar")
         assert warm.sweep("p100", 4096) == reference
         assert warm.stats.computed == 0
-        assert warm.stats.cache_hits == len(reference)
+        assert warm.stats.store_hits == len(reference)
 
     def test_partial_store_fills_only_misses(self, tmp_path):
         req = SweepRequest(device="k40c", n=4096)
         configs = req.configs()
-        seed = SweepEngine(store_dir=tmp_path)
+        seed = EvalPlanner(store_dir=tmp_path, backend="scalar")
         seed.evaluate_configs(req, configs[: len(configs) // 2])
 
-        rest = SweepEngine(store_dir=tmp_path)
+        rest = EvalPlanner(store_dir=tmp_path, backend="scalar")
         points = rest.evaluate_configs(req, configs)
-        assert points == SweepEngine().evaluate_configs(req, configs)
-        assert rest.stats.cache_hits == len(configs) // 2
+        assert points == MatmulGPUApp(K40C).sweep_points(4096)
+        assert rest.stats.store_hits == len(configs) // 2
         assert rest.stats.computed == len(configs) - len(configs) // 2
 
     def test_corrupted_shard_recomputed_transparently(self, tmp_path):
         from repro.simgpu.calibration import K40C_CAL
 
-        engine = SweepEngine(store_dir=tmp_path)
-        full = engine.sweep("k40c", 4096)
+        planner = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        full = planner.sweep("k40c", 4096)
         key = shard_key(K40C, K40C_CAL, 4096)
-        engine2 = SweepEngine(store_dir=tmp_path)
-        engine2.store.shard_path(key).write_bytes(b"garbage")
+        planner2 = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        planner2.store.shard_path(key).write_bytes(b"garbage")
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            assert engine2.sweep("k40c", 4096) == full
-        assert engine2.stats.computed == len(full)
+            assert planner2.sweep("k40c", 4096) == full
+        assert planner2.stats.computed == len(full)
         # The recomputation healed the shard on disk.
-        healed = SweepEngine(store_dir=tmp_path)
+        healed = EvalPlanner(store_dir=tmp_path, backend="scalar")
         assert healed.sweep("k40c", 4096) == full
         assert healed.stats.computed == 0
 
     def test_backends_use_distinct_shards(self, tmp_path):
-        scalar = SweepEngine(store_dir=tmp_path)
+        scalar = EvalPlanner(store_dir=tmp_path, backend="scalar")
         scalar.sweep("p100", 4096)
-        vec = SweepEngine(store_dir=tmp_path, backend="vectorized")
+        vec = EvalPlanner(store_dir=tmp_path, backend="vectorized")
         vec.sweep("p100", 4096)
-        assert vec.stats.cache_hits == 0  # no cross-backend leakage
+        assert vec.stats.store_hits == 0  # no cross-backend leakage
         assert vec.stats.computed == vec.stats.requested
 
 
 class TestMigration:
-    def _populate_json_cache(self, cache_dir, n=4096):
-        engine = SweepEngine(cache_dir=cache_dir)
-        return engine.sweep("p100", n)
-
-    def test_migrated_store_is_bit_identical_to_recomputation(self, tmp_path):
+    def test_migrated_store_is_bit_identical_to_recomputation(
+        self, tmp_path, json_cache
+    ):
         cache_dir = tmp_path / "cache"
         store_dir = tmp_path / "store"
-        reference = self._populate_json_cache(cache_dir)
+        reference = json_cache(cache_dir, "p100", 4096)
 
         report = migrate_json_cache(cache_dir, store_dir)
         assert isinstance(report, MigrationReport)
@@ -605,31 +597,30 @@ class TestMigration:
         assert report.migrated == len(reference)
         assert report.skipped_foreign == 0 and report.skipped_corrupt == 0
 
-        warm = SweepEngine(store_dir=store_dir)
+        warm = EvalPlanner(store_dir=store_dir, backend="scalar")
         assert warm.sweep("p100", 4096) == reference
         assert warm.stats.computed == 0  # every migrated point served
         # ...and every stored objective equals a fresh recomputation
         # bit for bit (JSON repr round-trip + float64 columns).
-        assert SweepEngine().sweep("p100", 4096) == reference
+        assert MatmulGPUApp(P100).sweep_points(4096) == reference
 
-    def test_migration_is_idempotent(self, tmp_path):
+    def test_migration_is_idempotent(self, tmp_path, json_cache):
         cache_dir = tmp_path / "cache"
         store_dir = tmp_path / "store"
-        self._populate_json_cache(cache_dir)
+        json_cache(cache_dir, "p100", 4096)
         first = migrate_json_cache(cache_dir, store_dir)
         second = migrate_json_cache(cache_dir, store_dir)
         assert second.migrated == first.migrated
         assert second.shards == first.shards
 
-    def test_foreign_records_are_left_in_place(self, tmp_path):
+    def test_foreign_records_are_left_in_place(self, tmp_path, json_cache):
         """Perturbed-calibration records can't be claimed — skipped."""
         cache_dir = tmp_path / "cache"
         store_dir = tmp_path / "store"
         perturbed = dataclasses.replace(
             P100_CAL, e_lane_j=P100_CAL.e_lane_j * 1.2
         )
-        engine = SweepEngine(cache_dir=cache_dir)
-        engine.sweep("p100", 4096, cal=perturbed)
+        json_cache(cache_dir, "p100", 4096, cal=perturbed)
         n_records = len(list(cache_dir.glob("??/*.json")))
 
         report = migrate_json_cache(cache_dir, store_dir)
@@ -639,19 +630,147 @@ class TestMigration:
         # The JSON cache is untouched.
         assert len(list(cache_dir.glob("??/*.json"))) == n_records
 
-    def test_corrupt_records_are_counted(self, tmp_path):
+    def test_corrupt_records_are_counted(self, tmp_path, json_cache):
         cache_dir = tmp_path / "cache"
         store_dir = tmp_path / "store"
-        reference = self._populate_json_cache(cache_dir)
+        reference = json_cache(cache_dir, "p100", 4096)
         victim = sorted(cache_dir.glob("??/*.json"))[0]
         victim.write_text("{torn")
         report = migrate_json_cache(cache_dir, store_dir)
         assert report.skipped_corrupt == 1
         assert report.migrated == len(reference) - 1
 
-    def test_render_summarizes(self, tmp_path):
+    def test_render_summarizes(self, tmp_path, json_cache):
         cache_dir = tmp_path / "cache"
-        self._populate_json_cache(cache_dir)
+        json_cache(cache_dir, "p100", 4096)
         report = migrate_json_cache(cache_dir, tmp_path / "store")
         text = report.render()
         assert "migrated" in text and str(report.migrated) in text
+
+
+class TestCacheRecords:
+    """Validation of the JSON cache records ``repro cache migrate`` reads.
+
+    A record that fails to parse is counted as corrupt and never
+    migrated, so the store can only ever serve values that a warm
+    planner would have computed itself.
+    """
+
+    N = 2048
+
+    def _cache(self, tmp_path, json_cache):
+        cache_dir = tmp_path / "cache"
+        reference = json_cache(cache_dir, "p100", self.N)
+        return cache_dir, reference
+
+    def _assert_store_serves_reference(self, store_dir, reference, computed):
+        warm = EvalPlanner(store_dir=store_dir, backend="scalar")
+        assert warm.sweep("p100", self.N) == reference
+        assert warm.stats.computed == computed
+
+    def test_record_parse_is_exact(self, tmp_path, json_cache):
+        cache_dir, reference = self._cache(tmp_path, json_cache)
+        by_config = {tuple(sorted(p.config.items())): p for p in reference}
+        paths = sorted(cache_dir.glob("??/*.json"))
+        assert len(paths) == len(reference)
+        for path in paths:
+            rec = CacheRecord.from_dict(json.loads(path.read_text()))
+            assert rec.key == path.stem
+            assert rec.device == P100.name and rec.n == self.N
+            point = by_config[tuple(sorted(rec.config.items()))]
+            # Bit-exact float round-trip through the JSON repr.
+            assert rec.time_s == point.time_s
+            assert rec.energy_j == point.energy_j
+
+    def test_empty_cache_migrates_nothing(self, tmp_path):
+        (tmp_path / "cache").mkdir()
+        report = migrate_json_cache(tmp_path / "cache", tmp_path / "store")
+        assert report.scanned == 0 and report.migrated == 0
+        assert report.shards == {}
+        assert len(ColumnarStore(tmp_path / "store")) == 0
+
+    def test_torn_record_is_migrated_once_rewritten(
+        self, tmp_path, json_cache
+    ):
+        cache_dir, reference = self._cache(tmp_path, json_cache)
+        store_dir = tmp_path / "store"
+        victim = sorted(cache_dir.glob("??/*.json"))[0]
+        intact = victim.read_text()
+        victim.write_text(intact[:37])  # a torn write
+        first = migrate_json_cache(cache_dir, store_dir)
+        assert first.skipped_corrupt == 1
+        assert first.migrated == len(reference) - 1
+
+        victim.write_text(intact)
+        second = migrate_json_cache(cache_dir, store_dir)
+        assert second.skipped_corrupt == 0
+        assert second.migrated == len(reference)
+        self._assert_store_serves_reference(store_dir, reference, 0)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(format="other/9"),
+            lambda d: d.pop("time_s"),
+            lambda d: d.update(time_s="not-a-number"),
+            lambda d: d.update(time_s=float("nan")),
+            lambda d: d.update(time_s=-1.0),
+            lambda d: d.update(config=[1, 2, 3]),
+        ],
+    )
+    def test_malformed_records_are_never_migrated(
+        self, tmp_path, json_cache, mutate
+    ):
+        cache_dir, reference = self._cache(tmp_path, json_cache)
+        store_dir = tmp_path / "store"
+        victim = sorted(cache_dir.glob("??/*.json"))[0]
+        doc = json.loads(victim.read_text())
+        mutate(doc)
+        victim.write_text(json.dumps(doc, default=str))
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            CacheRecord.from_dict(json.loads(victim.read_text()))
+
+        report = migrate_json_cache(cache_dir, store_dir)
+        assert report.skipped_corrupt == 1
+        assert report.migrated == len(reference) - 1
+        # The one missing point is recomputed, not read from the record.
+        self._assert_store_serves_reference(store_dir, reference, 1)
+
+    def test_tampered_key_is_never_claimed(self, tmp_path, json_cache):
+        """A record whose key its inputs do not hash to is foreign."""
+        cache_dir, reference = self._cache(tmp_path, json_cache)
+        store_dir = tmp_path / "store"
+        victim = sorted(cache_dir.glob("??/*.json"))[0]
+        doc = json.loads(victim.read_text())
+        doc["key"] = "cd" + "1" * 62
+        victim.write_text(json.dumps(doc))
+
+        report = migrate_json_cache(cache_dir, store_dir)
+        assert report.skipped_foreign == 1 and report.skipped_corrupt == 0
+        assert report.migrated == len(reference) - 1
+        self._assert_store_serves_reference(store_dir, reference, 1)
+
+    def test_unknown_device_is_foreign(self, tmp_path, json_cache):
+        cache_dir, reference = self._cache(tmp_path, json_cache)
+        victim = sorted(cache_dir.glob("??/*.json"))[0]
+        doc = json.loads(victim.read_text())
+        doc["device"] = "Nvidia Z9000"
+        victim.write_text(json.dumps(doc))
+
+        report = migrate_json_cache(cache_dir, tmp_path / "store")
+        assert report.skipped_foreign == 1
+        assert report.migrated == len(reference) - 1
+
+    def test_scanned_counts_records_only(self, tmp_path, json_cache):
+        cache_dir = tmp_path / "cache"
+        p100 = json_cache(cache_dir, "p100", self.N)
+        k40c = json_cache(cache_dir, "k40c", self.N)
+        # Files outside the <key[:2]>/<key>.json layout are not records.
+        (cache_dir / "stray.json").write_text("{}")
+        (cache_dir / "ab").mkdir(exist_ok=True)
+        (cache_dir / "ab" / "notes.txt").write_text("not a record")
+
+        report = migrate_json_cache(cache_dir, tmp_path / "store")
+        assert report.scanned == len(p100) + len(k40c)
+        assert report.migrated == report.scanned
+        assert sorted(report.shards.values()) == sorted([len(p100), len(k40c)])

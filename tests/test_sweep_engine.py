@@ -1,26 +1,25 @@
 """Unit tests for the :mod:`repro.sweep` subsystem.
 
-Engine mechanics, content-addressed keys, cache round-trips,
-corruption fallback, interrupted-sweep resume, and stats accounting.
-The serial/parallel/cached bit-parity guarantees live in
-``tests/test_sweep_parity.py``.
+Content-addressed keys, request resolution, and the sweep engine
+(:class:`~repro.sweep.EvalPlanner`) as the experiments and the CLI use
+it: bit-exact scalar serving, store-backed resume, stats accounting,
+and cache-identity isolation of models and calibrations.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
+import numpy as np
 import pytest
 
 from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.experiments import fig7_k40c_pareto, fig8_p100_pareto
 from repro.machines.specs import K40C, P100
 from repro.simgpu.calibration import K40C_CAL, P100_CAL, calibration_for
+from repro.store import ColumnarStore
 from repro.sweep import (
-    MODEL_VERSION,
-    CacheRecord,
-    SweepCache,
-    SweepEngine,
+    EvalPlanner,
     SweepRequest,
     resolve_device,
     sweep_key,
@@ -72,245 +71,121 @@ class TestSweepRequest:
         assert SweepRequest(device="k40c", n=8192).calibration is calibration_for(K40C)
 
 
-class TestSweepCache:
-    def record(self, key="ab" + "0" * 62):
-        return CacheRecord(
-            key=key,
-            device="p100",
-            n=10240,
-            config={"bs": 32, "g": 1, "r": 24},
-            time_s=30.5,
-            energy_j=7900.25,
-            model_version=MODEL_VERSION,
-        )
-
-    def test_roundtrip_is_exact(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        rec = self.record()
-        cache.put(rec)
-        got = cache.get(rec.key)
-        assert got == rec
-        assert got.time_s == rec.time_s  # bit-exact float round-trip
-
-    def test_miss_returns_none(self, tmp_path):
-        assert SweepCache(tmp_path).get("ff" + "0" * 62) is None
-
-    def test_truncated_json_falls_back_to_miss(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        rec = self.record()
-        cache.put(rec)
-        path = cache.path_for(rec.key)
-        path.write_text(path.read_text()[:37])  # simulate a torn write
-        assert cache.get(rec.key) is None
-        assert cache.corrupt_entries == 1
-        # Recompute-and-put overwrites the corrupt file.
-        cache.put(rec)
-        assert cache.get(rec.key) == rec
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.update(format="other/9"),
-            lambda d: d.pop("time_s"),
-            lambda d: d.update(time_s="not-a-number"),
-            lambda d: d.update(time_s=float("nan")),
-            lambda d: d.update(time_s=-1.0),
-            lambda d: d.update(config=[1, 2, 3]),
-        ],
-    )
-    def test_malformed_records_fall_back_to_miss(self, tmp_path, mutate):
-        cache = SweepCache(tmp_path)
-        rec = self.record()
-        cache.put(rec)
-        path = cache.path_for(rec.key)
-        doc = json.loads(path.read_text())
-        mutate(doc)
-        path.write_text(json.dumps(doc, default=str))
-        assert cache.get(rec.key) is None
-        assert cache.corrupt_entries == 1
-
-    def test_key_mismatch_is_a_miss(self, tmp_path):
-        """A record copied to the wrong content address never lies."""
-        cache = SweepCache(tmp_path)
-        rec = self.record()
-        cache.put(rec)
-        other_key = "cd" + "1" * 62
-        target = cache.path_for(other_key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(cache.path_for(rec.key).read_text())
-        assert cache.get(other_key) is None
-
-    def test_len_counts_records(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        assert len(cache) == 0
-        cache.put(self.record())
-        cache.put(self.record(key="cd" + "2" * 62))
-        assert len(cache) == 2
-
-
 class TestSweepEngine:
-    def test_jobs_validation(self):
+    def test_store_args_exclusive(self, tmp_path):
         with pytest.raises(ValueError):
-            SweepEngine(jobs=0)
-
-    def test_cache_args_exclusive(self, tmp_path):
-        with pytest.raises(ValueError):
-            SweepEngine(cache_dir=tmp_path, cache=SweepCache(tmp_path))
+            EvalPlanner(store_dir=tmp_path, store=ColumnarStore(tmp_path))
 
     def test_sweep_matches_app(self):
-        points = SweepEngine().sweep("p100", 4096)
+        points = EvalPlanner(backend="scalar").sweep("p100", 4096)
         assert points == MatmulGPUApp(P100).sweep_points(4096)
 
     def test_evaluate_single_point(self):
         cfg = MatmulConfig(bs=32, g=1, r=24)
-        point = SweepEngine().evaluate("k40c", 4096, cfg)
+        planner = EvalPlanner(backend="scalar")
+        point = planner.evaluate("k40c", 4096, cfg)
         expected = MatmulGPUApp(K40C).evaluate(4096, cfg)
         assert point == expected
         # Dict configs are accepted too.
-        assert SweepEngine().evaluate("k40c", 4096, cfg.as_dict()) == expected
+        assert planner.evaluate("k40c", 4096, cfg.as_dict()) == expected
 
-    def test_sweep_many_preserves_request_order(self):
+    def test_requests_are_served_in_request_order(self):
         reqs = [
             SweepRequest(device="p100", n=4096),
             SweepRequest(device="k40c", n=2048),
         ]
-        results = SweepEngine().sweep_many(reqs)
-        assert len(results) == 2
+        planner = EvalPlanner(backend="scalar")
+        planner.add_all(reqs)
+        planner.execute()
+        results = [planner.evaluate_configs(r, r.configs()) for r in reqs]
         assert results[0] == MatmulGPUApp(P100).sweep_points(4096)
         assert results[1] == MatmulGPUApp(K40C).sweep_points(2048)
 
     def test_stats_cold_then_warm(self, tmp_path):
-        cold = SweepEngine(cache_dir=tmp_path)
+        cold = EvalPlanner(store_dir=tmp_path, backend="scalar")
         points = cold.sweep("p100", 4096)
         assert cold.stats.requested == len(points)
         assert cold.stats.computed == len(points)
-        assert cold.stats.cache_hits == 0
+        assert cold.stats.store_hits == 0
 
-        warm = SweepEngine(cache_dir=tmp_path)
+        warm = EvalPlanner(store_dir=tmp_path, backend="scalar")
         again = warm.sweep("p100", 4096)
         assert again == points
         assert warm.stats.computed == 0
-        assert warm.stats.cache_hits == len(points)
-        assert warm.stats.hit_rate == 1.0
+        assert warm.stats.store_hits == len(points)
 
     def test_interrupted_sweep_resumes(self, tmp_path):
-        """Only the points missing from the cache are recomputed."""
-        engine = SweepEngine(cache_dir=tmp_path)
-        full = engine.sweep("k40c", 4096)
-        # Simulate an interruption: drop a third of the cache files.
-        files = sorted(engine.cache.root.glob("??/*.json"))
-        dropped = files[:: 3]
-        for f in dropped:
-            f.unlink()
-        resumed = SweepEngine(cache_dir=tmp_path)
-        assert resumed.sweep("k40c", 4096) == full
-        assert resumed.stats.computed == len(dropped)
-        assert resumed.stats.cache_hits == len(full) - len(dropped)
-
-    def test_corrupt_cache_entry_recomputed(self, tmp_path):
-        engine = SweepEngine(cache_dir=tmp_path)
-        full = engine.sweep("k40c", 4096)
-        victim = sorted(engine.cache.root.glob("??/*.json"))[0]
-        victim.write_text('{"format": "repro-sweep-cache/1", "key"')
-        rerun = SweepEngine(cache_dir=tmp_path)
-        assert rerun.sweep("k40c", 4096) == full
-        assert rerun.stats.computed == 1
-        assert rerun.cache.corrupt_entries == 1
+        """Only the points missing from the store are recomputed."""
+        req = SweepRequest(device="k40c", n=4096)
+        configs = req.configs()
+        # An interrupted run persisted only every third point.
+        kept = configs[::3]
+        EvalPlanner(store_dir=tmp_path, backend="scalar").evaluate_configs(
+            req, kept
+        )
+        resumed = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        assert resumed.evaluate_configs(req, configs) == (
+            MatmulGPUApp(K40C).sweep_points(4096)
+        )
+        assert resumed.stats.computed == len(configs) - len(kept)
+        assert resumed.stats.store_hits == len(kept)
 
     def test_model_version_invalidates(self, tmp_path, monkeypatch):
-        engine = SweepEngine(cache_dir=tmp_path)
-        engine.sweep("p100", 4096)
+        EvalPlanner(store_dir=tmp_path).sweep("p100", 4096)
         monkeypatch.setattr(
-            "repro.sweep.engine.MODEL_VERSION", "gpu-matmul/999"
+            "repro.store.columnar.MODEL_VERSION", "gpu-matmul/999"
         )
         monkeypatch.setattr(
             "repro.sweep.keys.MODEL_VERSION", "gpu-matmul/999"
         )
-        bumped = SweepEngine(cache_dir=tmp_path)
+        bumped = EvalPlanner(store_dir=tmp_path)
         bumped.sweep("p100", 4096)
-        assert bumped.stats.cache_hits == 0
+        assert bumped.stats.store_hits == 0
         assert bumped.stats.computed == bumped.stats.requested
 
     def test_perturbed_calibration_does_not_collide(self, tmp_path):
-        engine = SweepEngine(cache_dir=tmp_path)
-        base = engine.sweep("p100", 4096)
+        planner = EvalPlanner(store_dir=tmp_path)
+        base = planner.sweep("p100", 4096)
         perturbed_cal = dataclasses.replace(
             P100_CAL, e_lane_j=P100_CAL.e_lane_j * 1.2
         )
-        perturbed = engine.sweep("p100", 4096, cal=perturbed_cal)
-        assert engine.stats.cache_hits == 0
+        perturbed = planner.sweep("p100", 4096, cal=perturbed_cal)
+        assert planner.stats.store_hits == 0
+        assert planner.stats.computed == 2 * len(base)
         assert [p.config for p in base] == [p.config for p in perturbed]
         assert base != perturbed
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            SweepEngine(mode="turbo")
-
-    def test_auto_mode_stays_serial_below_threshold(self):
-        """Paper-size grids (146 pts) sit below PARALLEL_MIN_POINTS:
-        auto mode must not pay pool startup for them (the perf
-        regression BENCH_sweep.json documented for repro-bench/1)."""
-        engine = SweepEngine(jobs=4)  # mode="auto" default
-        points = engine.sweep("p100", 4096)
-        assert engine.stats.last_mode == "serial"
-        assert engine.stats.mode_points == {"serial": len(points)}
-
-    def test_auto_mode_pool_policy(self):
-        import os
-
-        from repro.sweep import PARALLEL_MIN_POINTS
-
-        auto = SweepEngine(jobs=4)
-        assert not auto._use_pool(PARALLEL_MIN_POINTS - 1)
-        # Above the measured crossover auto fans out — but only where
-        # the pool can actually win: on a single-CPU host the workers
-        # timeshare the serial path's core, so auto stays serial at any
-        # point count.
-        multicore = (os.cpu_count() or 1) >= 2
-        assert auto._use_pool(PARALLEL_MIN_POINTS) == multicore
-        # Forced modes override the threshold in both directions.
-        assert SweepEngine(jobs=4, mode="parallel")._use_pool(146)
-        assert not SweepEngine(jobs=4, mode="serial")._use_pool(10_000)
-        # A single worker or a single chunk never pays for a pool.
-        assert not SweepEngine(jobs=1, mode="parallel")._use_pool(10_000)
-        assert not SweepEngine(jobs=4, mode="parallel")._use_pool(3)
-
-    def test_auto_mode_never_slower_than_serial_policy(self):
-        """The auto policy only ever picks the pool when (a) the host
-        has cores to win with and (b) the grid clears the measured
-        crossover — i.e. for every point count where serial is the
-        faster mode, auto picks serial."""
-        import os
-
-        from repro.sweep import PARALLEL_MIN_POINTS
-
-        auto = SweepEngine(jobs=4)
-        for n_points in (1, 16, 146, 512, PARALLEL_MIN_POINTS - 1):
-            assert not auto._use_pool(n_points)
-        if (os.cpu_count() or 1) < 2:
-            for n_points in (PARALLEL_MIN_POINTS, 10 * PARALLEL_MIN_POINTS):
-                assert not auto._use_pool(n_points)
-
-    def test_forced_parallel_records_pool_mode(self):
-        engine = SweepEngine(jobs=2, mode="parallel")
-        reference = SweepEngine().sweep("p100", 2048)
-        assert engine.sweep("p100", 2048) == reference
-        assert engine.stats.last_mode == "process-pool"
-
-    def test_vectorized_backend_records_mode(self):
-        engine = SweepEngine(backend="vectorized")
-        engine.sweep("p100", 2048)
-        assert engine.stats.last_mode == "vectorized"
-
     def test_noisy_sweeps_bypass_engine(self, tmp_path):
-        """rng sweeps must not populate or read the cache."""
-        import numpy as np
-
-        engine = SweepEngine(cache_dir=tmp_path)
+        """rng sweeps must not populate or read the store."""
+        planner = EvalPlanner(store_dir=tmp_path)
         app = MatmulGPUApp(P100)
         noisy = app.sweep_points(
-            4096, rng=np.random.default_rng(7), engine=engine
+            4096, rng=np.random.default_rng(7), engine=planner
         )
-        assert engine.stats.requested == 0
-        assert len(engine.cache) == 0
+        assert planner.stats.requested == 0
+        assert len(planner.store) == 0
         assert len(noisy) == len(app.sweep_configs())
+
+
+class TestExperimentWarmStoreAcceptance:
+    def test_fig7_fig8_warm_rerun_computes_nothing(self, tmp_path):
+        """Acceptance: warm-store fig7+fig8 rerun = zero recomputations."""
+        cold = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        fig7_cold = fig7_k40c_pareto.run(engine=cold)
+        fig8_cold = fig8_p100_pareto.run(engine=cold)
+        assert cold.stats.computed > 0
+
+        warm = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        fig7_warm = fig7_k40c_pareto.run(engine=warm)
+        fig8_warm = fig8_p100_pareto.run(engine=warm)
+        assert warm.stats.computed == 0
+        assert warm.stats.store_hits == cold.stats.requested
+
+        # And the stored rerun is bit-identical to the cold run.
+        assert fig7_warm == fig7_cold
+        assert fig8_warm == fig8_cold
+
+    def test_experiments_identical_with_and_without_engine(self, tmp_path):
+        planner = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        assert fig7_k40c_pareto.run(engine=planner) == fig7_k40c_pareto.run()
+        assert fig8_p100_pareto.run(engine=planner) == fig8_p100_pareto.run()

@@ -1,12 +1,14 @@
-"""Parity guarantees of the sweep engine.
+"""Parity guarantees of the sweep planner.
 
-The hard correctness requirement of the subsystem: the parallel path
-(``jobs=4``) and the serial path (``jobs=1``) — cold or through the
-on-disk cache — must produce **bit-identical** ``ParetoPoint``
-sequences.  ``ParetoPoint`` is a frozen dataclass whose equality
+The hard correctness requirement of the subsystem: a sweep served
+through the columnar store — written cold, then read back warm — must
+produce **bit-identical** ``ParetoPoint`` sequences to the same backend
+evaluated with no store at all, and the scalar backend must equal the
+per-point reference loop of :class:`~repro.apps.matmul_gpu.MatmulGPUApp`
+bit for bit.  ``ParetoPoint`` is a frozen dataclass whose equality
 compares the raw float objectives and the config payload, so ``==``
-over the sequences is exactly bit-parity (JSON cache round-trips are
-exact because floats serialize via shortest-round-trip ``repr``).
+over the sequences is exactly bit-parity.  The vectorized backend
+agrees with the scalar one to :data:`PARITY_RTOL`.
 """
 
 from __future__ import annotations
@@ -14,65 +16,44 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.matmul_gpu import MatmulGPUApp
-from repro.experiments import fig7_k40c_pareto, fig8_p100_pareto
 from repro.machines.specs import K40C, P100
-from repro.sweep import SweepEngine
+from repro.sweep import EvalPlanner
 
 #: Per-device sweep workloads: paper sizes, small enough to keep the
 #: suite quick.
 CASES = [("k40c", K40C, 8704), ("p100", P100, 10240)]
 
+#: Relative agreement of the vectorized backend with the scalar one.
+PARITY_RTOL = 1e-9
+
 
 @pytest.mark.parametrize("device,spec,n", CASES)
-class TestSerialParallelParity:
-    def test_parallel_matches_serial_cold(self, device, spec, n):
-        serial = SweepEngine(jobs=1).sweep(device, n)
-        # mode="parallel" forces the pool: the paper grids sit below
-        # the auto threshold, and these tests exist to exercise it.
-        parallel = SweepEngine(jobs=4, mode="parallel").sweep(device, n)
-        assert parallel == serial
-
-    def test_parallel_matches_app_reference(self, device, spec, n):
+class TestBackendParity:
+    def test_scalar_matches_app_reference(self, device, spec, n):
         reference = MatmulGPUApp(spec).sweep_points(n)
-        engine = SweepEngine(jobs=4, mode="parallel")
-        assert engine.sweep(device, n) == reference
-        assert engine.stats.last_mode == "process-pool"
+        planner = EvalPlanner(backend="scalar")
+        assert planner.sweep(device, n) == reference
+        assert planner.stats.computed == len(reference)
 
-    def test_cached_parallel_matches_cold_serial(self, device, spec, n, tmp_path):
-        serial_cold = SweepEngine(jobs=1).sweep(device, n)
-        # Populate the cache with the parallel path...
-        warmup = SweepEngine(jobs=4, cache_dir=tmp_path, mode="parallel")
-        assert warmup.sweep(device, n) == serial_cold
-        # ...then read it back through both serial and parallel engines.
-        warm_serial = SweepEngine(jobs=1, cache_dir=tmp_path)
-        warm_parallel = SweepEngine(
-            jobs=4, cache_dir=tmp_path, mode="parallel"
-        )
-        assert warm_serial.sweep(device, n) == serial_cold
-        assert warm_parallel.sweep(device, n) == serial_cold
-        assert warm_serial.stats.computed == 0
-        assert warm_parallel.stats.computed == 0
+    def test_vectorized_matches_scalar(self, device, spec, n):
+        scalar = EvalPlanner(backend="scalar").sweep(device, n)
+        vec = EvalPlanner(backend="vectorized").sweep(device, n)
+        assert [p.config for p in vec] == [p.config for p in scalar]
+        for s, v in zip(scalar, vec):
+            assert v.time_s == pytest.approx(s.time_s, rel=PARITY_RTOL)
+            assert v.energy_j == pytest.approx(s.energy_j, rel=PARITY_RTOL)
 
 
-class TestExperimentWarmCacheAcceptance:
-    def test_fig7_fig8_warm_rerun_computes_nothing(self, tmp_path):
-        """Acceptance: warm-cache fig7+fig8 rerun = zero recomputations."""
-        cold = SweepEngine(jobs=1, cache_dir=tmp_path)
-        fig7_cold = fig7_k40c_pareto.run(engine=cold)
-        fig8_cold = fig8_p100_pareto.run(engine=cold)
-        assert cold.stats.computed > 0
-
-        warm = SweepEngine(jobs=1, cache_dir=tmp_path)
-        fig7_warm = fig7_k40c_pareto.run(engine=warm)
-        fig8_warm = fig8_p100_pareto.run(engine=warm)
-        assert warm.stats.computed == 0
-        assert warm.stats.cache_hits == cold.stats.requested
-
-        # And the cached rerun is bit-identical to the cold run.
-        assert fig7_warm == fig7_cold
-        assert fig8_warm == fig8_cold
-
-    def test_experiments_identical_with_and_without_engine(self, tmp_path):
-        engine = SweepEngine(jobs=2, cache_dir=tmp_path)
-        assert fig7_k40c_pareto.run(engine=engine) == fig7_k40c_pareto.run()
-        assert fig8_p100_pareto.run(engine=engine) == fig8_p100_pareto.run()
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+@pytest.mark.parametrize("device,spec,n", CASES)
+def test_store_served_matches_cold(device, spec, n, backend, tmp_path):
+    cold = EvalPlanner(backend=backend).sweep(device, n)
+    # Populate the store through one planner...
+    writer = EvalPlanner(backend=backend, store_dir=tmp_path)
+    assert writer.sweep(device, n) == cold
+    assert writer.stats.computed == len(cold)
+    # ...then read it back through a fresh one.
+    warm = EvalPlanner(backend=backend, store_dir=tmp_path)
+    assert warm.sweep(device, n) == cold
+    assert warm.stats.computed == 0
+    assert warm.stats.store_hits == len(cold)

@@ -5,20 +5,17 @@ benchmark can run from a checkout without installing the package:
 
     PYTHONPATH=src python tools/bench_sweep.py [--quick] [--output FILE]
 
-Times the serial scalar reference, the process-pool parallel path and
-the NumPy-vectorized batch backend on the paper's P100 sweeps, the
-shared-memory parallel crossover grid, the incremental-vs-batch
-Pareto front, the cross-experiment planner session (per-experiment
+Times the per-point scalar reference and the NumPy-vectorized batch
+backend on the paper's P100 sweeps, the incremental-vs-batch Pareto
+front, the cross-experiment planner session (per-experiment scalar
 baseline vs cold-store vs warm-store on an enlarged devices x sizes x
 total-products grid), and — behind ``--large`` — a million-point
 mapped-shard build with a subprocess peak-RSS probe.  Writes
 ``BENCH_sweep.json`` and exits non-zero on any regression gate: the
 vectorized backend slower than scalar, the warm-store planner slower
-than the per-experiment baseline, the shared-memory pool slower than
-serial above the auto threshold (multi-core hosts only), the
-incremental front diverging from the batch kernel, telemetry overhead
-above its limit, or partial mapped-shard lookups dragging whole
-shards into resident memory.
+than the per-experiment baseline, the incremental front diverging
+from the batch kernel, telemetry overhead above its limit, or partial
+mapped-shard lookups dragging whole shards into resident memory.
 
 Every run also appends one ``repro-bench-history/1`` record (host
 fingerprint + raw per-repeat samples) to
