@@ -1,54 +1,30 @@
 """Higher-level EP analysis pipelines and report formatting.
 
-Exports resolve lazily (PEP 562): ``from repro.analysis import
-format_table`` imports only :mod:`repro.analysis.report`, not the
-whole package.  This keeps NumPy-only paths (the sweep benchmark in
-minimal CI environments, the planner fill path) importable without
-the SciPy-dependent analysis modules.
+Exports resolve lazily (PEP 562, :mod:`repro._lazy`): ``from
+repro.analysis import format_table`` imports only
+:mod:`repro.analysis.report`, not the whole package, so the CLI's
+report formatting costs no NumPy import.
 """
 
-from __future__ import annotations
+from repro._lazy import attach
 
-import importlib
-
-#: Exported name -> defining submodule.
-_EXPORTS = {
-    "ComparisonResult": "comparison",
-    "MethodReading": "comparison",
-    "compare_cpu_methods": "comparison",
-    "compare_gpu_methods": "comparison",
-    "Series": "asciiplot",
-    "scatter_plot": "asciiplot",
-    "additive_epsilon": "front_quality",
-    "igd": "front_quality",
-    "normalized_objectives": "front_quality",
-    "measured_gpu_sweep": "measured",
-    "NonfunctionalityVerdict": "nonfunctionality",
-    "nonfunctionality_test": "nonfunctionality",
-    "StrongEPStudy": "ep_analysis",
-    "WeakEPStudy": "ep_analysis",
-    "strong_ep_study": "ep_analysis",
-    "weak_ep_study": "ep_analysis",
-    "ReportSection": "summary",
-    "generate_report": "summary",
-    "format_pct": "report",
-    "format_series": "report",
-    "format_table": "report",
-    "paper_vs_measured": "report",
+_SUBMODULES = {
+    "comparison": (
+        "ComparisonResult", "MethodReading", "compare_cpu_methods",
+        "compare_gpu_methods",
+    ),
+    "asciiplot": ("Series", "scatter_plot"),
+    "front_quality": ("additive_epsilon", "igd", "normalized_objectives"),
+    "measured": ("measured_gpu_sweep",),
+    "nonfunctionality": ("NonfunctionalityVerdict", "nonfunctionality_test"),
+    "ep_analysis": (
+        "StrongEPStudy", "WeakEPStudy", "strong_ep_study", "weak_ep_study",
+    ),
+    "summary": ("ReportSection", "generate_report"),
+    "report": (
+        "format_pct", "format_series", "format_table", "paper_vs_measured",
+    ),
 }
 
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    submodule = _EXPORTS.get(name)
-    if submodule is not None:
-        module = importlib.import_module(f"{__name__}.{submodule}")
-        value = getattr(module, name)
-        globals()[name] = value  # cache: subsequent access skips here
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = [name for names in _SUBMODULES.values() for name in names]
+__getattr__, __dir__ = attach(__name__, _SUBMODULES)

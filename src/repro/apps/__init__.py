@@ -8,48 +8,23 @@
   (Fig. 1, from [12]).
 """
 
-from repro.apps.decomposition import (
-    DecompositionError,
-    GroupAssignment,
-    ThreadAssignment,
-    decompose,
-    verify_weak_ep_constraints,
-)
-from repro.apps.cuda_source import (
-    dispatch_kernel,
-    full_source,
-    group_routine,
-    product_code,
-)
-from repro.apps.dgemm_cpu import DGEMMCPUApp
-from repro.apps.fft2d import (
-    FFT2DApp,
-    FFTDeviceProfile,
-    FFTRunResult,
-    fft_work,
-    largest_prime_factor,
-    radix_penalty,
-)
-from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp, divisors
+from repro._lazy import attach
 
-__all__ = [
-    "DecompositionError",
-    "GroupAssignment",
-    "ThreadAssignment",
-    "decompose",
-    "verify_weak_ep_constraints",
-    "dispatch_kernel",
-    "full_source",
-    "group_routine",
-    "product_code",
-    "DGEMMCPUApp",
-    "FFT2DApp",
-    "FFTDeviceProfile",
-    "FFTRunResult",
-    "fft_work",
-    "largest_prime_factor",
-    "radix_penalty",
-    "MatmulConfig",
-    "MatmulGPUApp",
-    "divisors",
-]
+_SUBMODULES = {
+    "decomposition": (
+        "DecompositionError", "GroupAssignment", "ThreadAssignment",
+        "decompose", "verify_weak_ep_constraints",
+    ),
+    "cuda_source": (
+        "dispatch_kernel", "full_source", "group_routine", "product_code",
+    ),
+    "dgemm_cpu": ("DGEMMCPUApp",),
+    "fft2d": (
+        "FFT2DApp", "FFTDeviceProfile", "FFTRunResult", "fft_work",
+        "largest_prime_factor", "radix_penalty",
+    ),
+    "matmul_gpu": ("MatmulConfig", "MatmulGPUApp", "divisors"),
+}
+
+__all__ = [name for names in _SUBMODULES.values() for name in names]
+__getattr__, __dir__ = attach(__name__, _SUBMODULES)

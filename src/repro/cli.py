@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     # and data-file devices ($REPRO_DEVICE_DIR) appear everywhere at
     # once.
     from repro.devices.registry import gpu_device_choices
-    from repro.sweep.planner import BACKENDS
+    from repro.sweep.keys import BACKENDS
 
     device_choices = gpu_device_choices()
 
@@ -651,10 +651,23 @@ def _run_tradeoff(device: str, n: int, budget_pct: float) -> str:
 
 
 def _run_front(path: str) -> str:
+    import json
+    from pathlib import Path
+
     from repro.core import pareto_front, tradeoff_table
     from repro.io import load_sweep
 
-    doc = load_sweep(path)
+    target = Path(path)
+    if not target.is_file():
+        raise SystemExit(f"repro front: no such file: {target}")
+    try:
+        doc = load_sweep(target)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(
+            f"repro front: {target}: not a JSON document ({exc})"
+        ) from None
+    except ValueError as exc:
+        raise SystemExit(f"repro front: {target}: {exc}") from None
     front = pareto_front(doc.points)
     out = [
         f"{doc.device}, N={doc.workload}: {len(doc.points)} points, "

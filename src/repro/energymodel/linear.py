@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.energymodel.events import ApplicationProfile
 
@@ -87,6 +86,8 @@ def fit_energy_model(
         [[p.event(name) for name in event_names] for p in profiles], dtype=float
     )
     y = np.array([p.energy_j for p in profiles], dtype=float)
+    from scipy.optimize import nnls
+
     # Column scaling keeps NNLS well-conditioned for event counts that
     # span many orders of magnitude.
     scale = np.maximum(np.abs(x).max(axis=0), 1e-30)

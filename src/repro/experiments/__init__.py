@@ -7,17 +7,13 @@ sweep-driven experiments additionally expose ``requests()`` — the
 cross-experiment planner (:mod:`repro.sweep.planner`) can collect and
 deduplicate a whole session up front.
 
-Submodules load lazily (PEP 562): ``from repro.experiments import
-headline`` imports only that module and its dependencies.  This keeps
-CLI startup proportional to what a command touches and lets
-SciPy-free tooling (the benchmark harness in minimal CI environments)
-use the sweep-driven experiments, whose module-level imports are
-NumPy-only, without dragging in the SciPy-dependent modules.
+Submodules load lazily (PEP 562, :mod:`repro._lazy`): ``from
+repro.experiments import headline`` imports only that module and its
+dependencies, so a command's start-up cost is proportional to what it
+runs.
 """
 
-from __future__ import annotations
-
-import importlib
+from repro._lazy import attach
 
 __all__ = [
     "ablation",
@@ -39,15 +35,4 @@ __all__ = [
     "headline",
     "matmul_strong_ep",
 ]
-
-
-def __getattr__(name: str):
-    if name in __all__:
-        module = importlib.import_module(f"{__name__}.{name}")
-        globals()[name] = module  # cache: subsequent access skips here
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = attach(__name__, dict.fromkeys(__all__, ()))

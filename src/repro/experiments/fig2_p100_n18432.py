@@ -81,12 +81,29 @@ def rank_correlation(points: list[ParetoPoint]) -> float:
     )
 
 
-def _rank_correlation_cols(times: np.ndarray, energies: np.ndarray) -> float:
-    """Column-native :func:`rank_correlation`."""
-    from scipy.stats import spearmanr
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share their group's mean rank."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(first, append=len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
 
-    res = spearmanr(times, energies)
-    return float(res.statistic)
+
+def _rank_correlation_cols(times: np.ndarray, energies: np.ndarray) -> float:
+    """Column-native :func:`rank_correlation`.
+
+    Spearman's rho as SciPy's ``spearmanr`` computes it — the Pearson
+    correlation of average ranks — and ``nan`` where it is undefined
+    (a constant or NaN-bearing column).
+    """
+    cols = np.column_stack([times, energies])
+    if np.isnan(cols).any() or (cols == cols[0]).all(axis=0).any():
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(c) for c in cols.T])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)

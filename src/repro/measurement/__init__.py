@@ -1,39 +1,19 @@
 """Measurement substrate: WattsUp Pro simulation, HCLWattsUp energy
 extraction, and the paper's Student-t repetition protocol."""
 
-from repro.measurement.hclwattsup import EnergyReading, HCLWattsUp
-from repro.measurement.powermeter import (
-    PowerMeter,
-    PowerPhase,
-    PowerSample,
-    PowerTrace,
-)
-from repro.measurement.runner import DataPoint, ExperimentRunner
-from repro.measurement.session import MeasurementSession, SessionRecord
-from repro.measurement.stats import (
-    MeasurementResult,
-    NormalityCheck,
-    confidence_halfwidth,
-    pearson_normality_check,
-    required_runs_estimate,
-    run_until_confident,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "PowerPhase",
-    "PowerTrace",
-    "PowerSample",
-    "PowerMeter",
-    "EnergyReading",
-    "HCLWattsUp",
-    "DataPoint",
-    "ExperimentRunner",
-    "MeasurementSession",
-    "SessionRecord",
-    "MeasurementResult",
-    "NormalityCheck",
-    "confidence_halfwidth",
-    "run_until_confident",
-    "required_runs_estimate",
-    "pearson_normality_check",
-]
+_SUBMODULES = {
+    "powermeter": ("PowerPhase", "PowerTrace", "PowerSample", "PowerMeter"),
+    "hclwattsup": ("EnergyReading", "HCLWattsUp"),
+    "runner": ("DataPoint", "ExperimentRunner"),
+    "session": ("MeasurementSession", "SessionRecord"),
+    "stats": (
+        "MeasurementResult", "NormalityCheck", "confidence_halfwidth",
+        "run_until_confident", "required_runs_estimate",
+        "pearson_normality_check",
+    ),
+}
+
+__all__ = [name for names in _SUBMODULES.values() for name in names]
+__getattr__, __dir__ = attach(__name__, _SUBMODULES)

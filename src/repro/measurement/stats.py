@@ -26,7 +26,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "MeasurementResult",
@@ -95,6 +94,8 @@ def confidence_halfwidth(
     s = float(obs.std(ddof=1))
     if s == 0.0:
         return 0.0
+    from scipy import stats as sps
+
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return t_crit * s / math.sqrt(n)
 
@@ -192,6 +193,8 @@ def required_runs_estimate(
     cv = float(obs.std(ddof=1)) / mean
     if cv == 0.0:
         return 2
+    from scipy import stats as sps
+
     n = 2
     while n <= max_runs:
         t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
@@ -236,6 +239,8 @@ def pearson_normality_check(
         n_bins = min(10, max(4, n // 5))
     if n_bins < 4:
         raise ValueError("need at least 4 bins")
+    from scipy import stats as sps
+
     # Equiprobable bin edges under the fitted normal.
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     edges = sps.norm.ppf(quantiles, loc=mu, scale=sigma)

@@ -1,70 +1,28 @@
 """GPU simulator substrate: occupancy, warp efficiency, memory
 hierarchy, kernel pipeline timing, component power, DVFS, CUPTI."""
 
-from repro.simgpu.batch import (
-    BatchRunResult,
-    batch_run_matmul,
-    evaluate_configs_batch,
-)
-from repro.simgpu.calibration import (
-    GPUCalibration,
-    K40C_CAL,
-    P100_CAL,
-    calibration_for,
-)
-from repro.simgpu.cupti import EVENT_NAMES, CuptiProfiler, EventReading
-from repro.simgpu.device import GPUDevice, KernelRunResult
-from repro.simgpu.dvfs import OperatingPoint, solve_operating_clock
-from repro.simgpu.kernel import (
-    KernelResources,
-    avg_rows_per_warp,
-    matmul_kernel_resources,
-    max_group_size,
-    shared_mem_per_block,
-)
-from repro.simgpu.memhier import TrafficModel, coalescing_efficiency, matmul_traffic
-from repro.simgpu.nvml import NVMLSample, NVMLSensor
-from repro.simgpu.occupancy import Occupancy, compute_occupancy
-from repro.simgpu.power import PowerBreakdown, aux_decay, kernel_power
-from repro.simgpu.roofline import RooflinePlacement, classify_matmul
-from repro.simgpu.warps import lane_efficiency, smem_replay_factor, warps_per_block
-from repro.simgpu.waves import WaveAnalysis, analyze_waves
+from repro._lazy import attach
 
-__all__ = [
-    "BatchRunResult",
-    "batch_run_matmul",
-    "evaluate_configs_batch",
-    "GPUCalibration",
-    "K40C_CAL",
-    "P100_CAL",
-    "calibration_for",
-    "CuptiProfiler",
-    "EventReading",
-    "EVENT_NAMES",
-    "GPUDevice",
-    "KernelRunResult",
-    "OperatingPoint",
-    "solve_operating_clock",
-    "KernelResources",
-    "avg_rows_per_warp",
-    "matmul_kernel_resources",
-    "max_group_size",
-    "shared_mem_per_block",
-    "TrafficModel",
-    "coalescing_efficiency",
-    "matmul_traffic",
-    "NVMLSample",
-    "NVMLSensor",
-    "Occupancy",
-    "compute_occupancy",
-    "RooflinePlacement",
-    "classify_matmul",
-    "PowerBreakdown",
-    "aux_decay",
-    "kernel_power",
-    "lane_efficiency",
-    "smem_replay_factor",
-    "warps_per_block",
-    "WaveAnalysis",
-    "analyze_waves",
-]
+_SUBMODULES = {
+    "batch": ("BatchRunResult", "batch_run_matmul", "evaluate_configs_batch"),
+    "calibration": (
+        "GPUCalibration", "K40C_CAL", "P100_CAL", "calibration_for",
+    ),
+    "cupti": ("CuptiProfiler", "EventReading", "EVENT_NAMES"),
+    "device": ("GPUDevice", "KernelRunResult"),
+    "dvfs": ("OperatingPoint", "solve_operating_clock"),
+    "kernel": (
+        "KernelResources", "avg_rows_per_warp", "matmul_kernel_resources",
+        "max_group_size", "shared_mem_per_block",
+    ),
+    "memhier": ("TrafficModel", "coalescing_efficiency", "matmul_traffic"),
+    "nvml": ("NVMLSample", "NVMLSensor"),
+    "occupancy": ("Occupancy", "compute_occupancy"),
+    "roofline": ("RooflinePlacement", "classify_matmul"),
+    "power": ("PowerBreakdown", "aux_decay", "kernel_power"),
+    "warps": ("lane_efficiency", "smem_replay_factor", "warps_per_block"),
+    "waves": ("WaveAnalysis", "analyze_waves"),
+}
+
+__all__ = [name for names in _SUBMODULES.values() for name in names]
+__getattr__, __dir__ = attach(__name__, _SUBMODULES)

@@ -36,8 +36,7 @@ import numpy as np
 from repro.machines.specs import GPUSpec, MACHINES
 from repro.simgpu.calibration import calibration_for
 from repro.store.columnar import ColumnarStore, ShardKey, pack_config, shard_key
-from repro.sweep.keys import sweep_key
-from repro.sweep.planner import BACKENDS
+from repro.sweep.keys import BACKENDS, sweep_key
 
 __all__ = ["CACHE_FORMAT", "MigrationReport", "migrate_json_cache"]
 

@@ -24,33 +24,17 @@ evaluation path every sweep-driven command and experiment runs on:
   the planner session against each other (``repro bench``).
 """
 
-from repro.sweep.bench import BenchmarkCase, run_benchmark
-from repro.sweep.keys import (
-    MODEL_VERSION,
-    canonical_json,
-    shard_digest,
-    sweep_key,
-)
-from repro.sweep.plan import POINT_DTYPE, SweepRequest, resolve_device
-from repro.sweep.planner import (
-    BACKENDS,
-    EvalPlanner,
-    PlannerStats,
-    collect_session_requests,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BACKENDS",
-    "BenchmarkCase",
-    "EvalPlanner",
-    "MODEL_VERSION",
-    "POINT_DTYPE",
-    "PlannerStats",
-    "SweepRequest",
-    "canonical_json",
-    "collect_session_requests",
-    "resolve_device",
-    "run_benchmark",
-    "shard_digest",
-    "sweep_key",
-]
+_SUBMODULES = {
+    "planner": ("EvalPlanner", "PlannerStats", "collect_session_requests"),
+    "bench": ("BenchmarkCase", "run_benchmark"),
+    "keys": (
+        "BACKENDS", "MODEL_VERSION", "canonical_json", "shard_digest",
+        "sweep_key",
+    ),
+    "plan": ("POINT_DTYPE", "SweepRequest", "resolve_device"),
+}
+
+__all__ = sorted(name for names in _SUBMODULES.values() for name in names)
+__getattr__, __dir__ = attach(__name__, _SUBMODULES)

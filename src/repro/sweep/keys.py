@@ -23,12 +23,26 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.machines.specs import GPUSpec
-from repro.simgpu.calibration import GPUCalibration
+if TYPE_CHECKING:  # pragma: no cover - keeps this module stdlib-only
+    from repro.machines.specs import GPUSpec
+    from repro.simgpu.calibration import GPUCalibration
 
-__all__ = ["MODEL_VERSION", "canonical_json", "shard_digest", "sweep_key"]
+__all__ = [
+    "BACKENDS",
+    "MODEL_VERSION",
+    "canonical_json",
+    "shard_digest",
+    "sweep_key",
+]
+
+#: How missing points can be computed.  ``vectorized`` evaluates a
+#: whole mega-batch in one NumPy pass (:mod:`repro.simgpu.batch`);
+#: ``scalar`` calls ``GPUDevice.run_matmul`` per point — the reference
+#: the vectorized model is tested against.  A backend other than the
+#: reference is part of every key (see :func:`sweep_key`).
+BACKENDS = ("scalar", "vectorized")
 
 #: Version of the GPU simulator's *code* (the constants are hashed
 #: directly).  Bump whenever `repro.simgpu` changes the mapping from

@@ -49,6 +49,7 @@ from repro.apps.matmul_gpu import MatmulConfig
 from repro.core.pareto import ParetoPoint
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
+from repro.sweep.keys import BACKENDS
 from repro.sweep.plan import POINT_DTYPE, SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,12 +63,6 @@ __all__ = [
     "collect_session_requests",
     "SESSION_EXPERIMENTS",
 ]
-
-#: How missing points can be computed.  ``vectorized`` evaluates a
-#: whole mega-batch in one NumPy pass (:mod:`repro.simgpu.batch`);
-#: ``scalar`` calls ``GPUDevice.run_matmul`` per point — the reference
-#: the vectorized model is tested against.
-BACKENDS = ("scalar", "vectorized")
 
 #: The sweep-driven experiments ``repro all`` runs through one planner.
 SESSION_EXPERIMENTS = (

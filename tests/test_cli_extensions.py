@@ -120,11 +120,24 @@ class TestSweepSaveAndFront:
         assert "front = " in text
         assert "Trade-offs" in text
 
-    def test_front_rejects_garbage(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (None, "no such file"),
+            ("{not json", "not a JSON document"),
+            ("{}", "unsupported document format"),
+        ],
+        ids=["missing", "malformed", "foreign"],
+    )
+    def test_front_rejects_bad_input(self, tmp_path, content, message):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(ValueError):
+        if content is not None:
+            bad.write_text(content)
+        with pytest.raises(SystemExit) as exc:
             main(["front", str(bad)])
+        text = str(exc.value.code)
+        assert text.startswith("repro front: ") and message in text
+        assert "\n" not in text
 
     def test_energy_model_id(self, capsys):
         assert main(["experiment", "energy-model"]) == 0
