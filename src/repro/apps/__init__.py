@@ -23,7 +23,7 @@ _SUBMODULES = {
         "FFT2DApp", "FFTDeviceProfile", "FFTRunResult", "fft_work",
         "largest_prime_factor", "radix_penalty",
     ),
-    "matmul_gpu": ("MatmulConfig", "MatmulGPUApp", "divisors"),
+    "matmul_gpu": ("ConfigColumns", "MatmulConfig", "MatmulGPUApp", "divisors"),
 }
 
 __all__ = [name for names in _SUBMODULES.values() for name in names]

@@ -23,7 +23,8 @@ evaluates each configuration on the GPU simulator, yielding the
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,11 +36,12 @@ from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
 from repro.simgpu.device import GPUDevice, KernelRunResult
 from repro.simgpu.kernel import max_group_size
+from repro.store.columnar import pack_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sweep.planner import EvalPlanner
 
-__all__ = ["MatmulConfig", "MatmulGPUApp", "divisors"]
+__all__ = ["ConfigColumns", "MatmulConfig", "MatmulGPUApp", "divisors"]
 
 
 def divisors(n: int) -> list[int]:
@@ -65,6 +67,57 @@ class MatmulConfig:
 
     def as_dict(self) -> dict[str, int]:
         return {"bs": self.bs, "g": self.g, "r": self.r}
+
+
+class ConfigColumns(Sequence):
+    """A read-only sequence of :class:`MatmulConfig` held as int64 columns.
+
+    ``bs``, ``g`` and ``r`` are the key columns and ``packed`` their
+    :func:`repro.store.columnar.pack_config` keys, all non-writeable.
+    The packable-range check runs once, at construction, so the planner
+    and store consume the columns with no per-point object in between.
+    Indexing by int yields a :class:`MatmulConfig`, slicing yields
+    another ``ConfigColumns``, and ``==`` compares element-wise with any
+    sequence of configs.
+    """
+
+    __slots__ = ("bs", "g", "r", "packed")
+
+    def __init__(self, bs, g, r) -> None:
+        self.bs, self.g, self.r = (np.array(c, dtype=np.int64) for c in (bs, g, r))
+        if not (self.bs.ndim == 1 and self.bs.shape == self.g.shape == self.r.shape):
+            raise ValueError("bs, g and r must be 1-D columns of one length")
+        self.packed = pack_columns(self.bs, self.g, self.r)
+        for col in (self.bs, self.g, self.r, self.packed):
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ConfigColumns(self.bs[index], self.g[index], self.r[index])
+        i = operator.index(index)
+        return MatmulConfig(int(self.bs[i]), int(self.g[i]), int(self.r[i]))
+
+    def __iter__(self) -> Iterator[MatmulConfig]:
+        return map(
+            MatmulConfig, self.bs.tolist(), self.g.tolist(), self.r.tolist()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ConfigColumns):
+            return bool(np.array_equal(self.packed, other.packed))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ConfigColumns({len(self)} configs)"
 
 
 class MatmulGPUApp:
@@ -118,14 +171,25 @@ class MatmulGPUApp:
         G must divide the workload and respect the shared-memory limit
         for BS (``repro.simgpu.kernel.max_group_size``).
         """
+        return iter(self._columns(self.min_bs if min_bs is None else min_bs))
+
+    def _columns(self, min_bs: int) -> ConfigColumns:
+        """The valid configurations with BS ≥ ``min_bs``, in row-major
+        ``bs × divisors(T)`` order (BS outer, G ascending)."""
         lo, hi = self.bs_range
-        lo = max(lo, self.min_bs if min_bs is None else min_bs)
-        divs = divisors(self.total_products)
-        for bs in range(lo, hi + 1):
-            gmax = max_group_size(self.spec, bs, self.g_cap)
-            for g in divs:
-                if g <= gmax:
-                    yield MatmulConfig(bs=bs, g=g, r=self.total_products // g)
+        bs = np.arange(max(lo, min_bs), hi + 1, dtype=np.int64)
+        divs = np.array(divisors(self.total_products), dtype=np.int64)
+        gmax = np.array(
+            [max_group_size(self.spec, b, self.g_cap) for b in bs.tolist()],
+            dtype=np.int64,
+        )
+        valid = divs[None, :] <= gmax[:, None]
+        g = np.broadcast_to(divs, valid.shape)[valid]
+        return ConfigColumns(
+            np.broadcast_to(bs[:, None], valid.shape)[valid],
+            g,
+            self.total_products // g,
+        )
 
     def config_space(self) -> ConfigurationSpace:
         """The decision-variable space as a
@@ -148,17 +212,26 @@ class MatmulGPUApp:
             is_valid=valid,
         )
 
-    def sweep_configs(self, *, min_bs: int | None = None) -> list[MatmulConfig]:
-        """The sweep's configuration list, in the reference order.
+    def sweep_configs(self, *, min_bs: int | None = None) -> ConfigColumns:
+        """The sweep's configurations as int64 columns, in the reference order.
 
         Applies the sweep default floor (BS ≥ 4 — the paper's populated
-        region) when ``min_bs`` is None.  This single enumeration is
-        shared by the serial path and :class:`repro.sweep.EvalPlanner`,
-        which is what makes their outputs comparable point-for-point.
+        region) when ``min_bs`` is None.  The result is a read-only
+        :class:`ConfigColumns` — a sequence of :class:`MatmulConfig`
+        whose ``bs``/``g``/``r``/``packed`` arrays the planner and
+        store read directly.  This single enumeration is shared by the
+        serial path and :class:`repro.sweep.EvalPlanner`, which is what
+        makes their outputs comparable point-for-point.
+
+        Raises
+        ------
+        ValueError
+            If a configuration is outside the packable range (T above
+            2^21 - 1).
         """
         if min_bs is None:
             min_bs = max(self.min_bs, 4)
-        return list(self.valid_configs(min_bs=min_bs))
+        return self._columns(min_bs)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -256,7 +329,5 @@ class MatmulGPUApp:
             result = self.run(n, cfg)
             out["time_s"][i] = result.time_s
             out["energy_j"][i] = result.dynamic_energy_j
-        out["bs"] = [c.bs for c in configs]
-        out["g"] = [c.g for c in configs]
-        out["r"] = [c.r for c in configs]
+        out["bs"], out["g"], out["r"] = configs.bs, configs.g, configs.r
         return out

@@ -100,6 +100,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def products_int(text: str) -> int:
+    """Argparse type for ``--products``: a workload T that packs.
+
+    T is the largest R of a sweep, and a packed point key holds R in
+    one 21-bit field (:data:`repro.sweep.keys.FIELD_MAX`).
+    """
+    from repro.sweep.keys import FIELD_MAX
+
+    value = positive_int(text)
+    if value > FIELD_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {FIELD_MAX} (got {value})"
+        )
+    return value
+
+
 def budget_pct(text: str) -> float:
     """Argparse type for ``--budget``: a finite, non-negative percent."""
     try:
@@ -178,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=positive_int, default=10240, help="matrix size"
     )
     sweep.add_argument(
-        "--products", type=positive_int, default=24,
+        "--products", type=products_int, default=24,
         help="total products T = G*R",
     )
     sweep.add_argument(

@@ -88,10 +88,13 @@ def requests_digest(requests: Sequence[Any]) -> str:
     number changes the digest; reordering requests changes it too
     (output order is part of what a session produces).
     """
+    import numpy as np
+
     from repro.sweep.keys import canonical_json
 
     entries = []
     for request in requests:
+        configs = request.configs()
         entries.append(
             {
                 "identity": calibration_digest(
@@ -99,9 +102,9 @@ def requests_digest(requests: Sequence[Any]) -> str:
                 ),
                 "device": request.spec.name,
                 "n": int(request.n),
-                "configs": [
-                    [c.bs, c.g, c.r] for c in request.configs()
-                ],
+                "configs": np.column_stack(
+                    [configs.bs, configs.g, configs.r]
+                ).tolist(),
             }
         )
     return hashlib.sha256(canonical_json(entries).encode()).hexdigest()

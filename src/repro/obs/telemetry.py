@@ -169,15 +169,17 @@ class _ActiveSpan:
         tel = self._tel
         if tel._span_stack and tel._span_stack[-1] == self._id:
             tel._span_stack.pop()
-        tel.spans.append(
-            SpanRecord(
-                span_id=self._id,
-                parent_id=self._parent,
-                name=self._name,
-                depth=self._depth,
-                start_ns=self._t0 - tel._epoch_ns,
-                duration_ns=t1 - self._t0,
-                attrs=self._attrs,
+        # A plain tuple, not a SpanRecord: the on-path cost of a span
+        # stays a few allocations; records are built when read.
+        tel._span_rows.append(
+            (
+                self._id,
+                self._parent,
+                self._name,
+                self._depth,
+                self._t0 - tel._epoch_ns,
+                t1 - self._t0,
+                self._attrs,
             )
         )
 
@@ -202,7 +204,8 @@ class Telemetry:
         self.mode = mode
         self.path = Path(path) if path is not None else None
         self.enabled = mode != "off"
-        self.spans: list[SpanRecord] = []
+        self._spans: list[SpanRecord] = []
+        self._span_rows: list[tuple] = []
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, HistogramSummary] = {}
@@ -210,6 +213,14 @@ class Telemetry:
         self._span_stack: list[int] = []
         self._next_span_id = 1
         self._epoch_ns = time.perf_counter_ns()
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """Completed spans, in completion order."""
+        if self._span_rows:
+            self._spans.extend(SpanRecord(*row) for row in self._span_rows)
+            self._span_rows.clear()
+        return self._spans
 
     # -- recording ----------------------------------------------------------
 

@@ -58,7 +58,7 @@ import numpy as np
 from repro import obs
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
-from repro.sweep.keys import MODEL_VERSION, shard_digest
+from repro.sweep.keys import FIELD_BITS, FIELD_MAX, MODEL_VERSION, shard_digest
 
 __all__ = [
     "SHARD_FORMAT",
@@ -68,6 +68,7 @@ __all__ = [
     "StoreIntegrityWarning",
     "shard_key",
     "pack_config",
+    "pack_columns",
     "pack_configs",
     "unpack_config",
 ]
@@ -88,54 +89,57 @@ SHARD_FORMAT = "repro-sweep-store/2"
 MANIFEST_FORMAT = "repro-sweep-store-manifest/1"
 MANIFEST_NAME = "manifest.json"
 
-#: Bits per packed (BS, G, R) field.  2^21 comfortably covers every
-#: admissible value (BS ≤ 32, G ≤ 8, R ≤ total_products) while keeping
-#: the packed key inside exact int64 range.
-_FIELD_BITS = 21
-_FIELD_MAX = (1 << _FIELD_BITS) - 1
-
 #: Row indices of the (6, n) shard block.
 _COL_PACKED, _COL_BS, _COL_G, _COL_R, _COL_TIME, _COL_ENERGY = range(6)
 
 
 def pack_config(bs: int, g: int, r: int) -> int:
     """Pack one ``(BS, G, R)`` configuration into a sortable int64."""
-    if not (0 < bs <= _FIELD_MAX and 0 < g <= _FIELD_MAX and 0 < r <= _FIELD_MAX):
+    if not (0 < bs <= FIELD_MAX and 0 < g <= FIELD_MAX and 0 < r <= FIELD_MAX):
         raise ValueError(
             f"(bs={bs}, g={g}, r={r}) outside the packable range "
-            f"1..{_FIELD_MAX}"
+            f"1..{FIELD_MAX}"
         )
-    return (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
+    return (bs << (2 * FIELD_BITS)) | (g << FIELD_BITS) | r
+
+
+def pack_columns(bs: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`pack_config` over aligned int64 key columns."""
+    if len(bs) and not (
+        0 < bs.min() and bs.max() <= FIELD_MAX
+        and 0 < g.min() and g.max() <= FIELD_MAX
+        and 0 < r.min() and r.max() <= FIELD_MAX
+    ):
+        raise ValueError(f"configuration outside the packable range 1..{FIELD_MAX}")
+    return (bs << (2 * FIELD_BITS)) | (g << FIELD_BITS) | r
 
 
 def pack_configs(configs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`pack_config` over a config sequence.
+    """Packed keys and key columns of a config sequence.
 
-    ``configs`` is any sequence of objects with ``bs``/``g``/``r``
-    attributes; returns ``(packed, bs, g, r)`` int64 arrays aligned
-    with the input order.
+    ``configs`` is a :class:`~repro.apps.matmul_gpu.ConfigColumns`,
+    whose already-checked columns are returned as they are, or any
+    sequence of objects with ``bs``/``g``/``r`` attributes.  Returns
+    ``(packed, bs, g, r)`` int64 arrays aligned with the input order.
     """
+    from repro.apps.matmul_gpu import ConfigColumns
+
+    if isinstance(configs, ConfigColumns):
+        return configs.packed, configs.bs, configs.g, configs.r
     count = len(configs)
     bs = np.fromiter((c.bs for c in configs), dtype=np.int64, count=count)
     g = np.fromiter((c.g for c in configs), dtype=np.int64, count=count)
     r = np.fromiter((c.r for c in configs), dtype=np.int64, count=count)
-    if count and not (
-        0 < bs.min() and bs.max() <= _FIELD_MAX
-        and 0 < g.min() and g.max() <= _FIELD_MAX
-        and 0 < r.min() and r.max() <= _FIELD_MAX
-    ):
-        raise ValueError(f"configuration outside the packable range 1..{_FIELD_MAX}")
-    packed = (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
-    return packed, bs, g, r
+    return pack_columns(bs, g, r), bs, g, r
 
 
 def unpack_config(packed: int) -> tuple[int, int, int]:
     """Invert :func:`pack_config`; returns ``(bs, g, r)``."""
     p = int(packed)
     return (
-        p >> (2 * _FIELD_BITS),
-        (p >> _FIELD_BITS) & _FIELD_MAX,
-        p & _FIELD_MAX,
+        p >> (2 * FIELD_BITS),
+        (p >> FIELD_BITS) & FIELD_MAX,
+        p & FIELD_MAX,
     )
 
 
@@ -577,7 +581,7 @@ class ColumnarStore:
         r = np.asarray(r, dtype=np.int64)
         time_s = np.asarray(time_s, dtype=np.float64)
         energy_j = np.asarray(energy_j, dtype=np.float64)
-        packed = (bs << (2 * _FIELD_BITS)) | (g << _FIELD_BITS) | r
+        packed = (bs << (2 * FIELD_BITS)) | (g << FIELD_BITS) | r
 
         with obs.span(
             "store.append", device=key.device, n=key.n, points=len(packed)

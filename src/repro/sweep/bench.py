@@ -416,14 +416,14 @@ def _bench_telemetry(
     }
 
 
-def _synthetic_configs(count: int) -> list:
+def _synthetic_configs(count: int):
     """``count`` distinct valid configurations (G=1 is always valid)."""
-    from repro.apps.matmul_gpu import MatmulConfig
+    import numpy as np
 
-    return [
-        MatmulConfig(bs=4 + (i % 29), g=1, r=1 + i // 29)
-        for i in range(count)
-    ]
+    from repro.apps.matmul_gpu import ConfigColumns
+
+    i = np.arange(count, dtype=np.int64)
+    return ConfigColumns(4 + i % 29, np.ones(count, dtype=np.int64), 1 + i // 29)
 
 
 def _bench_incremental(*, repeats: int, points: int = 50_000) -> dict:

@@ -16,11 +16,18 @@ configuration (the key of one record of the JSON point cache that
 
 JSON float encoding uses ``repr`` (shortest round-trip), so the key is
 stable across processes and Python sessions on the same platform.
+
+A planner asks for a shard identity twice per request, and the
+constants are the same for every request of a device, so
+:func:`shard_digest` encodes a ``(spec, calibration)`` pair once
+(memoised on the frozen value pair) and splices only ``N`` and the
+backend into the canonical JSON per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import TYPE_CHECKING, Any
@@ -31,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - keeps this module stdlib-only
 
 __all__ = [
     "BACKENDS",
+    "FIELD_BITS",
+    "FIELD_MAX",
     "MODEL_VERSION",
     "canonical_json",
     "shard_digest",
@@ -43,6 +52,14 @@ __all__ = [
 #: the vectorized model is tested against.  A backend other than the
 #: reference is part of every key (see :func:`sweep_key`).
 BACKENDS = ("scalar", "vectorized")
+
+#: Bits per field of a packed ``(BS, G, R)`` point key
+#: (:func:`repro.store.columnar.pack_config`).  2^21 comfortably covers
+#: every admissible value (BS ≤ 32, G ≤ 8, R ≤ total_products) while
+#: keeping the packed key inside exact int64 range.
+FIELD_BITS = 21
+#: Largest packable BS, G or R — and so the largest workload T.
+FIELD_MAX = (1 << FIELD_BITS) - 1
 
 #: Version of the GPU simulator's *code* (the constants are hashed
 #: directly).  Bump whenever `repro.simgpu` changes the mapping from
@@ -95,6 +112,21 @@ def _sweep_payload(
     return payload
 
 
+@functools.lru_cache(maxsize=64)
+def _constants_json(spec: GPUSpec, cal: GPUCalibration) -> tuple[str, str]:
+    """Canonical JSON of the spec and calibration constants.
+
+    Keyed on the frozen value pair.  Value-equal constants that differ
+    only in numeric type (``250`` vs ``250.0``) would share an entry;
+    the device schema coerces every float field, so bundled and
+    data-file devices cannot form such a pair.
+    """
+    return (
+        canonical_json(dataclasses.asdict(spec)),
+        canonical_json(dataclasses.asdict(cal)),
+    )
+
+
 def shard_digest(
     spec: GPUSpec,
     cal: GPUCalibration,
@@ -111,6 +143,15 @@ def shard_digest(
     constant, a calibration constant or :data:`MODEL_VERSION` moves the
     points to a fresh shard, so a stale shard can never be read for a
     changed model.
+
+    The hashed text is ``canonical_json`` of :func:`_sweep_payload`,
+    assembled from the memoised constants in its sorted key order.
     """
-    payload = _sweep_payload(spec, cal, n, backend)
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    spec_json, cal_json = _constants_json(spec, cal)
+    backend_json = "" if backend == "scalar" else f'"backend":{json.dumps(backend)},'
+    text = (
+        f'{{{backend_json}"calibration":{cal_json},'
+        f'"model_version":{json.dumps(MODEL_VERSION)},'
+        f'"n":{int(n)},"spec":{spec_json}}}'
+    )
+    return hashlib.sha256(text.encode()).hexdigest()

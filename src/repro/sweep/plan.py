@@ -3,7 +3,8 @@
 A :class:`SweepRequest` names one ``(device, N)`` sweep — device (by
 registry key or spec), matrix size, workload ``T = G·R``, optional
 tile floor and calibration override — and resolves to the exact
-configuration list the serial reference path enumerates.  The planner
+configurations the serial reference path enumerates, as int64 columns
+(:class:`~repro.apps.matmul_gpu.ConfigColumns`).  The planner
 (:mod:`repro.sweep.planner`) evaluates requests and serves their
 results as :data:`POINT_DTYPE` rows; everything about *what* to
 evaluate lives here.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.apps.matmul_gpu import ConfigColumns, MatmulGPUApp
 from repro.machines.specs import GPUSpec, get_machine
 from repro.simgpu.calibration import GPUCalibration, calibration_for
 
@@ -85,6 +86,7 @@ class SweepRequest:
             self.spec, self.calibration, total_products=self.total_products
         )
 
-    def configs(self) -> list[MatmulConfig]:
-        """The configuration list, in the serial reference order."""
+    def configs(self) -> ConfigColumns:
+        """The configurations as read-only int64 columns, in the serial
+        reference order (:meth:`MatmulGPUApp.sweep_configs`)."""
         return self.app().sweep_configs(min_bs=self.min_bs)

@@ -11,10 +11,13 @@ the session inside out:
 
 1. **Collect** — experiments (or :func:`collect_session_requests`)
    register :class:`~repro.sweep.plan.SweepRequest`\\ s up front.
-2. **Deduplicate** — requested points are packed to int64 keys and
+2. **Deduplicate** — a request's configurations arrive as int64
+   columns with their packed keys already built
+   (:class:`~repro.apps.matmul_gpu.ConfigColumns`); the keys are
    uniqued per shard identity (device + calibration + N + model
-   version + backend), so a point shared by any number of experiments
-   is evaluated at most once per session.
+   version + backend, hashed once per spec/calibration pair), so a
+   point shared by any number of experiments is evaluated at most once
+   per session.
 3. **Partition** — one vectorized pass per shard against the columnar
    store (:mod:`repro.store`) splits the unique points into hits and
    misses.
@@ -24,11 +27,11 @@ the session inside out:
    are bit-identical to per-sweep batches), then appended to the store
    shard-at-a-time.
 
-The hot path is columnar end to end — packed int64 keys, float64
-objective columns, structured arrays — with zero per-point dict
-materialization; :class:`~repro.core.pareto.ParetoPoint` records are
-only built at the analysis boundary when an experiment asks for its
-points.  The planner is the one sweep engine: every experiment's
+The hot path is columnar end to end — enumerated int64 key columns,
+packed int64 keys, float64 objective columns, structured arrays —
+with zero per-point object or dict materialization;
+:class:`~repro.core.pareto.ParetoPoint` records are only built at the
+analysis boundary when an experiment asks for its points.  The planner is the one sweep engine: every experiment's
 ``engine=`` parameter, ``repro experiment``/``sweep``/``tradeoff``/
 ``all`` and the benchmarks go through it.  A single-experiment run is
 just a session whose requests arrive one at a time: unplanned
@@ -38,7 +41,8 @@ same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -49,7 +53,7 @@ from repro.apps.matmul_gpu import MatmulConfig
 from repro.core.pareto import ParetoPoint
 from repro.machines.specs import GPUSpec
 from repro.simgpu.calibration import GPUCalibration
-from repro.sweep.keys import BACKENDS
+from repro.sweep.keys import BACKENDS, FIELD_BITS, FIELD_MAX
 from repro.sweep.plan import POINT_DTYPE, SweepRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,9 +77,6 @@ SESSION_EXPERIMENTS = (
     "sensitivity",
     "budgeted-search",
 )
-
-_FIELD_BITS = 21
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 @dataclass
@@ -215,7 +216,7 @@ class EvalPlanner:
     def add(
         self,
         request: SweepRequest,
-        configs: list[MatmulConfig] | None = None,
+        configs: Sequence[MatmulConfig] | None = None,
     ) -> None:
         """Register one sweep request (its full config list by default)."""
         if configs is None:
@@ -294,9 +295,9 @@ class EvalPlanner:
             [np.full(len(p), grp.n, dtype=np.int64) for grp, p in entries]
         )
         packed = np.concatenate([p for _, p in entries])
-        bs = packed >> (2 * _FIELD_BITS)
-        g = (packed >> _FIELD_BITS) & _FIELD_MASK
-        r = packed & _FIELD_MASK
+        bs = packed >> (2 * FIELD_BITS)
+        g = (packed >> FIELD_BITS) & FIELD_MAX
+        r = packed & FIELD_MAX
         with obs.span(
             "planner.fill_misses",
             device=spec.name,
@@ -359,7 +360,7 @@ class EvalPlanner:
     def table(
         self,
         request: SweepRequest,
-        configs: list[MatmulConfig] | None = None,
+        configs: Sequence[MatmulConfig] | None = None,
     ) -> np.ndarray:
         """Results of one request as a structured array (:data:`POINT_DTYPE`).
 
@@ -412,7 +413,7 @@ class EvalPlanner:
         return out
 
     def evaluate_configs(
-        self, request: SweepRequest, configs: list[MatmulConfig]
+        self, request: SweepRequest, configs: Sequence[MatmulConfig]
     ) -> list[ParetoPoint]:
         """ParetoPoints of ``configs``, in ``configs`` order.
 
@@ -421,9 +422,9 @@ class EvalPlanner:
         """
         rows = self.table(request, configs)
         return [
-            ParetoPoint(time_s=t, energy_j=e, config=cfg.as_dict())
-            for cfg, t, e in zip(
-                configs, rows["time_s"].tolist(), rows["energy_j"].tolist()
+            ParetoPoint(time_s=t, energy_j=e, config={"bs": b, "g": g, "r": r})
+            for t, e, b, g, r in zip(
+                *(rows[f].tolist() for f in ("time_s", "energy_j", "bs", "g", "r"))
             )
         ]
 

@@ -70,6 +70,22 @@ class TestEngineFlags:
         assert argv[1] in err
         assert message in err
 
+    @pytest.mark.parametrize("products", ["2097152", "3000000"])
+    def test_products_above_packable_range_is_clean_error(
+        self, products, capsys
+    ):
+        """T is the largest R of a sweep and must fit a packed key field."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--device", "p100", "--n", "1024",
+                  "--products", products])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--products: must be at most 2097151 (got {products})" in err
+
+    def test_products_at_packable_limit_is_accepted(self):
+        args = build_parser().parse_args(["sweep", "--products", "2097151"])
+        assert args.products == 2097151
+
     @pytest.mark.parametrize(
         "argv",
         [
