@@ -58,7 +58,7 @@ class DeviceRegistry:
 
     Entries are addressable by registry key (``"k40c"``) and by full
     spec name (``"Nvidia K40c"``), both case-insensitively — cache
-    records, store shard sidecars and provenance manifests carry the
+    records, store shard trailers and provenance manifests carry the
     full spec name, while CLIs and experiments use the short key.
     """
 

@@ -4,19 +4,16 @@ The store persists whole sweeps columnar, so a warm rerun pays one
 vectorized lookup per sweep instead of any per-point I/O:
 
 * :class:`~repro.store.columnar.ColumnarStore` — one memory-mapped
-  ``.npy`` block plus a ``.meta.json`` sidecar per ``(device, N,
-  calibration, model_version, backend)`` identity
-  (:func:`repro.sweep.keys.shard_digest`), holding the packed
-  ``(BS, G, R)`` keys and the ``time_s`` / ``energy_j`` columns of
-  every point of that sweep.  Lookups partition an entire request into
-  hits and misses in one vectorized pass; float64 columns round-trip
-  bit-exactly.
-* an index manifest (``manifest.json``) describing every shard, kept
-  advisory: shard filenames are derived from their content digest, so
-  a missing or stale manifest degrades inspection tooling, never
-  correctness.
-* atomic temp-file + ``os.replace`` writes; corrupted/truncated shards
-  are treated as misses and recomputed.
+  ``.npy`` file per ``(device, N, calibration, model_version,
+  backend)`` identity (:func:`repro.sweep.keys.shard_digest`), holding
+  the packed ``(BS, G, R)`` keys and the ``time_s`` / ``energy_j``
+  columns of every point of that sweep, followed by a one-line JSON
+  trailer naming that identity.  Lookups partition an entire request
+  into hits and misses in one vectorized pass; float64 columns
+  round-trip bit-exactly.
+* atomic temp-file + ``os.replace`` writes, serialized across
+  processes by an ``flock`` on ``<root>/.lock``; corrupted/truncated
+  shards are treated as misses and recomputed.
 * :func:`~repro.store.migrate.migrate_json_cache` — a one-way import
   of a JSON point cache written by earlier versions (``repro cache
   migrate``).

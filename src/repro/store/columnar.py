@@ -1,46 +1,45 @@
 """Columnar shard store keyed by sweep-point identity (mmap fast path).
 
-Layout: one shard per :func:`repro.sweep.keys.shard_digest` identity —
+Layout: one file per :func:`repro.sweep.keys.shard_digest` identity —
 device spec, calibration, matrix size, model version and execution
-backend — under the store root, plus an advisory index::
+backend — under the store root, plus the lock that serializes appends::
 
     <root>/<device>-n<N>-<backend>-<digest16>.npy
-    <root>/<device>-n<N>-<backend>-<digest16>.meta.json
-    <root>/manifest.json
+    <root>/.lock
 
 A shard holds the full column set of one sweep's points — the packed
 ``(BS, G, R)`` configuration keys (sorted, unique), the unpacked key
 columns and the ``time_s`` / ``energy_j`` objective columns — stored
-as one ``(6, n)`` int64 block (format ``repro-sweep-store/2``).  The
-float64 objective columns live bit-for-bit in int64 lanes so the whole
-shard is a single homogeneous ``.npy`` that ``np.load(mmap_mode="r")``
-can map lazily; :class:`_Shard` reinterprets them zero-copy.  Opening
-a shard therefore touches only the header plus the packed-key column
-(for the sorted-unique soundness check); objective pages are faulted
-in on demand and copied only for the rows a lookup actually serves
-(counted under ``store.shard.bytes_copied``).
+as one ``(6, n)`` int64 block written by ``np.save`` (format
+``repro-sweep-store/3``).  The float64 objective columns live
+bit-for-bit in int64 lanes so the block is one homogeneous array that
+is mapped lazily; :class:`_Shard` reinterprets them zero-copy.
+Opening a shard therefore touches only the header, the trailer and the
+packed-key column (for the sorted-unique soundness check); objective
+pages are faulted in on demand and copied only for the rows a lookup
+actually serves (counted under ``store.shard.bytes_copied``).
 
-The identity/row-count metadata lives in a JSON sidecar.  Because the
-filename is derived from the content digest, the *manifest* is
-advisory — it powers inspection and stats, but lookups never depend on
-it, so a stale or corrupted manifest can degrade tooling output, never
-correctness.  The sidecar, by contrast, is load-bearing: a shard whose
-sidecar is missing, unreadable, or disagrees with the array's row
-count is treated as a torn pair and recomputed.
+The shard's identity (format tag, device, N, model version, backend,
+digest) is one JSON line appended after the array data.  A reader
+opens the file once and takes header, trailer and mapped block from
+that one open file, so all three always come from the same inode, even
+while a writer replaces the path.  A missing or garbled trailer — what
+any truncation produces — reads as corrupt; a readable trailer naming
+another identity reads as stale.
 
-Only format ``repro-sweep-store/2`` is read.  A file left at a
-shard's identity in any other form (such as the monolithic ``.npz`` of
-format ``/1``) is never served: the shard reads as cold, its points
-are recomputed, and the append writes a v2 pair beside it.
+Only format ``repro-sweep-store/3`` is read.  A file left at a
+shard's identity in any other form (such as a ``/2`` block, whose
+identity lived in a ``.meta.json`` sidecar) is never served: the shard
+reads as corrupt, its points are recomputed, and the append rewrites
+it as ``/3``.
 
-Durability contract: every write goes through a temp file +
+Durability contract: every write goes through a temp file + one
 ``os.replace``, so an interrupted run never leaves a half-written
 shard under its final name; a corrupted or truncated shard is treated
 as empty and recomputed, and the next append overwrites it.  Appends
-re-read the shard from disk before merging, so two concurrent writers
-converge on the union of their rows except for a benign
-last-write-wins race window (the loser's rows read as misses and are
-recomputed — values are deterministic, so nothing can diverge).
+hold an exclusive ``flock`` on ``<root>/.lock`` across the
+read-merge-write, so concurrent writers — threads or processes —
+converge on the union of their rows.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from repro.sweep.keys import FIELD_BITS, FIELD_MAX, MODEL_VERSION, shard_digest
 
 __all__ = [
     "SHARD_FORMAT",
-    "MANIFEST_FORMAT",
     "ShardKey",
     "ColumnarStore",
     "StoreIntegrityWarning",
@@ -85,9 +83,8 @@ class StoreIntegrityWarning(UserWarning):
     ``store.shard.recompute_fallbacks``.
     """
 
-SHARD_FORMAT = "repro-sweep-store/2"
-MANIFEST_FORMAT = "repro-sweep-store-manifest/1"
-MANIFEST_NAME = "manifest.json"
+SHARD_FORMAT = "repro-sweep-store/3"
+LOCK_NAME = ".lock"
 
 #: Row indices of the (6, n) shard block.
 _COL_PACKED, _COL_BS, _COL_G, _COL_R, _COL_TIME, _COL_ENERGY = range(6)
@@ -173,10 +170,6 @@ class ShardKey:
     @property
     def filename(self) -> str:
         return f"{self.stem}.npy"
-
-    @property
-    def meta_filename(self) -> str:
-        return f"{self.stem}.meta.json"
 
 
 def shard_key(
@@ -265,7 +258,9 @@ def _make_block(
 
 _EMPTY = _Shard(block=np.empty((6, 0), dtype=np.int64))
 
-#: Exceptions a torn/foreign/garbage shard file can raise on load.
+#: Exceptions a torn/foreign/garbage shard file can raise on load
+#: (``json.JSONDecodeError`` and ``UnicodeDecodeError`` are
+#: ``ValueError``s).
 _LOAD_ERRORS = (OSError, ValueError, KeyError, EOFError)
 
 
@@ -307,32 +302,45 @@ class ColumnarStore:
     def shard_path(self, key: ShardKey) -> Path:
         return self.root / key.filename
 
-    def meta_path(self, key: ShardKey) -> Path:
-        return self.root / key.meta_filename
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
-
     # -- loading ------------------------------------------------------------
 
     def _read_shard(self, key: ShardKey) -> _Shard:
         """Load a shard from disk; a corrupt or absent file is empty.
 
-        The ``.npy`` is *memory-mapped*, not read: only the packed key
-        column is touched here (sorted-unique soundness).
+        The file is opened once: the ``.npy`` header, the identity
+        trailer and the mapped block all come from that one open file,
+        so a concurrent ``os.replace`` of the path cannot pair one
+        file's header with another's data.  The block is
+        *memory-mapped*, not read: only the packed key column is
+        touched here (sorted-unique soundness).
         """
         path = self.shard_path(key)
         try:
-            meta = json.loads(self.meta_path(key).read_text())
-            block = np.load(path, mmap_mode="r", allow_pickle=False)
+            with open(path, "rb") as fh:
+                # np.save writes a (6, n) block's header as version 1.0.
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError("not a version 1.0 .npy header")
+                shape, fortran_order, dtype = (
+                    np.lib.format.read_array_header_1_0(fh)
+                )
+                if (
+                    fortran_order
+                    or dtype != np.int64
+                    or len(shape) != 2
+                    or shape[0] != 6
+                ):
+                    raise ValueError("not a (6, n) int64 block")
+                offset = fh.tell()
+                fh.seek(offset + dtype.itemsize * 6 * shape[1])
+                trailer = fh.read()
+                # Only a complete trailer ends in its newline.
+                meta = json.loads(trailer) if trailer.endswith(b"\n") else None
+                block = np.memmap(
+                    fh, dtype=np.int64, mode="r", shape=shape, offset=offset
+                )
         except FileNotFoundError:
-            # A block without its sidecar (or vice versa) is a torn
-            # pair — unless neither exists, which is just a cold shard.
-            if path.is_file() or self.meta_path(key).is_file():
-                self._recompute_fallback(path, "corrupt")
             return _EMPTY
-        except _LOAD_ERRORS + (json.JSONDecodeError,):
+        except _LOAD_ERRORS:
             self._recompute_fallback(path, "corrupt")
             return _EMPTY
         obs.count("store.shard.mmap_opens")
@@ -347,7 +355,7 @@ class ColumnarStore:
 
     @staticmethod
     def _device_known(name: Any) -> bool:
-        """Whether a sidecar's device name resolves against the registry.
+        """Whether a trailer's device name resolves against the registry.
 
         A registry that itself fails to load counts as "known": a
         broken ``$REPRO_DEVICE_DIR`` must degrade to the quiet stale
@@ -403,18 +411,18 @@ class ColumnarStore:
         identity metadata does not match the address (renamed/copied
         file, or a shard written by a different model version: its
         digest differs, so stale results never leak).
-        ``"unknown-device"`` — identity mismatch *and* the sidecar
+        ``"unknown-device"`` — identity mismatch *and* the trailer
         names a device no longer known to the device registry: the
         shard is probably fine and the *environment* is wrong (a
         ``$REPRO_DEVICE_DIR`` file was removed or renamed), so silent
         recomputation would both fail later and hide the real problem
         — the readers raise instead.  ``"corrupt"`` — anything
-        structurally broken: wrong format tag, wrong block shape, a
-        sidecar row count disagreeing with the array (torn pair),
-        unsorted keys.  Deliberately *not* checked here: objective-value
-        soundness — that would fault in every
-        page, defeating the mmap; served rows are checked at copy-out
-        time instead.
+        structurally broken: a missing or garbled trailer, wrong format
+        tag, unsorted keys (the block's shape and dtype are checked
+        on the header, before the trailer can be located).
+        Deliberately *not* checked here: objective-value soundness —
+        that would fault in every page, defeating the mmap; served rows
+        are checked at copy-out time instead.
         """
         if not isinstance(meta, dict):
             return "corrupt"
@@ -430,11 +438,6 @@ class ColumnarStore:
             if not ColumnarStore._device_known(meta.get("device")):
                 return "unknown-device"
             return "stale"
-        block = shard.block
-        if block.ndim != 2 or block.shape[0] != 6 or block.dtype != np.int64:
-            return "corrupt"
-        if meta.get("points") != len(shard):
-            return "corrupt"  # torn block/sidecar pair
         if len(shard) and not (np.diff(shard.packed) > 0).all():
             return "corrupt"  # lookups require sorted unique keys
         return None
@@ -573,8 +576,9 @@ class ColumnarStore:
 
         Existing rows win on duplicate configuration keys (values are
         deterministic per identity, so the choice is cosmetic).  The
-        shard is re-read from disk before merging so rows appended by a
-        concurrent writer since our last load are preserved.
+        shard is re-read from disk under an exclusive ``flock`` on
+        ``<root>/.lock`` before merging, so rows appended by concurrent
+        writers in any process are preserved.
         """
         bs = np.asarray(bs, dtype=np.int64)
         g = np.asarray(g, dtype=np.int64)
@@ -598,30 +602,43 @@ class ColumnarStore:
         energy_j: np.ndarray,
         packed: np.ndarray,
     ) -> int:
-        current = self._read_shard(key)  # fresh: pick up concurrent rows
-        all_packed = np.concatenate([current.packed, packed])
-        # np.unique keeps the first occurrence per duplicate, i.e. the
-        # existing row; the result is sorted, which lookups require.
-        uniq, first = np.unique(all_packed, return_index=True)
-        merged = _Shard(
-            block=_make_block(
-                uniq,
-                np.concatenate([current.bs, bs])[first],
-                np.concatenate([current.g, g])[first],
-                np.concatenate([current.r, r])[first],
-                np.concatenate([current.time_s, time_s])[first],
-                np.concatenate([current.energy_j, energy_j])[first],
-            ),
-        )
-        self._write_shard(key, merged)
+        import fcntl
+
+        self.root.mkdir(parents=True, exist_ok=True)
+        lock = os.open(self.root / LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                obs.count("store.lock.waits")
+                fcntl.flock(lock, fcntl.LOCK_EX)
+            # Fresh read under the lock: no other writer can replace the
+            # shard between this read and the write below.
+            current = self._read_shard(key)
+            all_packed = np.concatenate([current.packed, packed])
+            # np.unique keeps the first occurrence per duplicate, i.e. the
+            # existing row; the result is sorted, which lookups require.
+            uniq, first = np.unique(all_packed, return_index=True)
+            merged = _Shard(
+                block=_make_block(
+                    uniq,
+                    np.concatenate([current.bs, bs])[first],
+                    np.concatenate([current.g, g])[first],
+                    np.concatenate([current.r, r])[first],
+                    np.concatenate([current.time_s, time_s])[first],
+                    np.concatenate([current.energy_j, energy_j])[first],
+                ),
+            )
+            self._write_shard(key, merged)
+        finally:
+            os.close(lock)  # releases the flock
         self._shards[key.digest] = merged
-        self._update_manifest(key, len(merged))
         obs.count("store.shard.appends")
         obs.count("store.points.appended", len(packed))
         return len(merged)
 
     def _write_shard(self, key: ShardKey, shard: _Shard) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Write block + identity trailer to a temp file, then replace."""
         path = self.shard_path(key)
         meta = {
             "format": SHARD_FORMAT,
@@ -630,118 +647,12 @@ class ColumnarStore:
             "model_version": key.model_version,
             "backend": key.backend,
             "digest": key.digest,
-            "points": len(shard),
         }
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
                 np.save(fh, np.ascontiguousarray(shard.block))
+                fh.write(json.dumps(meta, sort_keys=True).encode() + b"\n")
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        # Sidecar second: a crash between the two replaces leaves a
-        # block/sidecar row-count mismatch, which reads as a torn pair
-        # (corrupt → recompute), never as wrong values.
-        meta_path = self.meta_path(key)
-        meta_tmp = meta_path.with_name(f".{meta_path.name}.{os.getpid()}.tmp")
-        try:
-            meta_tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
-            os.replace(meta_tmp, meta_path)
-        finally:
-            meta_tmp.unlink(missing_ok=True)
-
-    # -- manifest -----------------------------------------------------------
-
-    def _load_manifest(self) -> dict[str, Any]:
-        try:
-            doc = json.loads(self.manifest_path.read_text())
-        except FileNotFoundError:
-            return {"format": MANIFEST_FORMAT, "shards": {}}
-        except (OSError, json.JSONDecodeError):
-            return {"format": MANIFEST_FORMAT, "shards": {}}
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != MANIFEST_FORMAT
-            or not isinstance(doc.get("shards"), dict)
-        ):
-            return {"format": MANIFEST_FORMAT, "shards": {}}
-        return doc
-
-    def _update_manifest(self, key: ShardKey, points: int) -> None:
-        doc = self._load_manifest()
-        doc["shards"][key.digest] = {
-            "file": key.filename,
-            "device": key.device,
-            "n": key.n,
-            "model_version": key.model_version,
-            "backend": key.backend,
-            "points": points,
-        }
-        self._write_manifest(doc)
-
-    def _write_manifest(self, doc: dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_name(
-            f".{MANIFEST_NAME}.{os.getpid()}.tmp"
-        )
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, self.manifest_path)
-
-    def rebuild_manifest(self) -> dict[str, Any]:
-        """Regenerate the index from the shard files themselves.
-
-        Recovers from a lost or corrupted manifest (the shards are the
-        source of truth); unreadable shard files are skipped and
-        counted in :attr:`corrupt_shards`.
-        """
-        doc: dict[str, Any] = {"format": MANIFEST_FORMAT, "shards": {}}
-        obs.count("store.manifest.rebuilds")
-        if not self.root.is_dir():
-            return doc
-        for meta_path in sorted(self.root.glob("*.meta.json")):
-            npy = meta_path.with_name(
-                meta_path.name[: -len(".meta.json")] + ".npy"
-            )
-            try:
-                meta = json.loads(meta_path.read_text())
-                block = np.load(npy, mmap_mode="r", allow_pickle=False)
-                points = int(block.shape[1])
-            except _LOAD_ERRORS + (json.JSONDecodeError, IndexError):
-                self.corrupt_shards += 1
-                continue
-            if (
-                not isinstance(meta, dict)
-                or meta.get("format") != SHARD_FORMAT
-                or "digest" not in meta
-                or meta.get("points") != points
-            ):
-                self.corrupt_shards += 1
-                continue
-            doc["shards"][meta["digest"]] = {
-                "file": npy.name,
-                "device": meta.get("device"),
-                "n": meta.get("n"),
-                "model_version": meta.get("model_version"),
-                "backend": meta.get("backend"),
-                "points": points,
-            }
-        self._write_manifest(doc)
-        return doc
-
-    def manifest(self) -> dict[str, Any]:
-        """The shard index; rebuilt from shard files when absent/corrupt."""
-        doc = self._load_manifest()
-        if (
-            not doc["shards"]
-            and self.root.is_dir()
-            and any(self.root.glob("*.meta.json"))
-        ):
-            doc = self.rebuild_manifest()
-        return doc
-
-    def __len__(self) -> int:
-        """Total points across all shards on disk."""
-        return sum(
-            int(entry.get("points", 0))
-            for entry in self.manifest()["shards"].values()
-        )

@@ -251,8 +251,8 @@ class EvalPlanner:
                 ]
                 if self.store is not None and pending_groups:
                     # Warm the shard cache with overlapped opens: each
-                    # is an independent sidecar read + header mmap, so
-                    # a multi-shard partition pays one open latency,
+                    # is an independent header + trailer read and mmap,
+                    # so a multi-shard partition pays one open latency,
                     # not one per shard.
                     self.store.open_shards([g.key for g in pending_groups])
                 for group in pending_groups:

@@ -185,9 +185,10 @@ class TestBenchCommand:
             ["sweep", "--device", "k40c", "--n", "2048",
              "--store-dir", str(store)]
         ) == 0
-        # One v2 shard (block + sidecar), not 146 files.
+        # One shard file (block + identity trailer), not 146 files.
         assert len(list(store.glob("*.npy"))) == 1
-        assert len(list(store.glob("*.meta.json"))) == 1
+        assert not list(store.glob("*.meta.json"))
+        assert not (store / "manifest.json").exists()
         first = capsys.readouterr().out
         # Warm rerun: identical output from pure shard lookups.
         assert main(

@@ -350,7 +350,6 @@ class TestStoreIntegritySurface:
         key, store = self._filled_store(tmp_path)
         other = shard_key(P100, P100_CAL, 8192, backend="scalar")
         shutil.copy(store.shard_path(key), store.shard_path(other))
-        shutil.copy(store.meta_path(key), store.meta_path(other))
         tel = obs.set_telemetry(obs.Telemetry("summary"))
         fresh = ColumnarStore(tmp_path)
         packed, *_ = pack_configs(

@@ -2,8 +2,8 @@
 
 Round-trip bit-exactness, vectorized hit/miss partitioning, the
 corruption/truncation → recompute fallback, model-version staleness,
-concurrent-writer merging, manifest recovery, and the JSON cache →
-store migration (including its bit-identity to recomputation).
+concurrent-writer merging, and the JSON cache → store migration
+(including its bit-identity to recomputation).
 """
 
 from __future__ import annotations
@@ -27,17 +27,23 @@ from repro.store import (
     shard_key,
     unpack_config,
 )
-from repro.store.columnar import (
-    MANIFEST_FORMAT,
-    SHARD_FORMAT,
-    StoreIntegrityWarning,
-)
+from repro.store.columnar import SHARD_FORMAT, StoreIntegrityWarning
 from repro.store.migrate import CacheRecord
 from repro.sweep import EvalPlanner, SweepRequest
 
 
 def _p100_key(n=4096, backend="scalar"):
     return shard_key(P100, P100_CAL, n, backend=backend)
+
+
+@pytest.fixture()
+def tel():
+    from repro import obs
+
+    prev = obs.get_telemetry()
+    tel = obs.set_telemetry(obs.Telemetry("summary"))
+    yield tel
+    obs.set_telemetry(prev)
 
 
 def _rows(count=8, seed=3):
@@ -95,8 +101,6 @@ class TestShardKey:
         key = _p100_key()
         assert key.digest[:16] in key.filename
         assert key.filename.endswith(".npy")
-        assert key.meta_filename.endswith(".meta.json")
-        assert key.meta_filename.startswith(key.stem)
 
 
 class TestColumnarStore:
@@ -176,19 +180,24 @@ class TestColumnarStore:
         assert fresh.corrupt_shards == 1
 
     def test_truncated_shard_reads_as_empty(self, tmp_path):
+        """Every byte-prefix of a shard file — a torn write anywhere in
+        header, block or trailer — reads as corrupt, is counted once
+        and is never served."""
         store = ColumnarStore(tmp_path)
         key = _p100_key()
-        bs, g, r, t, e = _rows()
+        bs, g, r, t, e = _rows(3)
         store.append(key, bs, g, r, t, e)
         path = store.shard_path(key)
-        path.write_bytes(path.read_bytes()[:100])  # torn write
-        fresh = ColumnarStore(tmp_path)
-        with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            _, _, hit = fresh.lookup(
-                key, np.array([pack_config(4, 2, 12)])
-            )
-        assert not hit.any()
-        assert fresh.corrupt_shards == 1
+        intact = path.read_bytes()
+        packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
+        for size in range(len(intact)):
+            path.write_bytes(intact[:size])
+            fresh = ColumnarStore(tmp_path)
+            with pytest.warns(StoreIntegrityWarning, match="corrupt"):
+                _, _, hit = fresh.lookup(key, packed)
+            assert not hit.any(), size
+            assert not fresh.contains(key, packed).any(), size
+            assert (fresh.corrupt_shards, fresh.stale_shards) == (1, 0), size
 
     def test_shard_at_wrong_address_is_rejected(self, tmp_path):
         """A shard copied to another identity's filename never lies."""
@@ -198,7 +207,6 @@ class TestColumnarStore:
         bs, g, r, t, e = _rows()
         store.append(key, bs, g, r, t, e)
         shutil.copy(store.shard_path(key), store.shard_path(other))
-        shutil.copy(store.meta_path(key), store.meta_path(other))
         fresh = ColumnarStore(tmp_path)
         packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
         with pytest.warns(StoreIntegrityWarning, match="stale"):
@@ -224,53 +232,50 @@ class TestColumnarStore:
         _, _, hit = fresh.lookup(new_key, packed)
         assert not hit.any()
         # Even a byte-copy of the stale shard to the new address fails
-        # the soundness check (its meta carries the old version+digest).
+        # the soundness check (its trailer carries the old version+digest).
         shutil.copy(store.shard_path(old_key), fresh.shard_path(new_key))
-        shutil.copy(store.meta_path(old_key), fresh.meta_path(new_key))
         fresh2 = ColumnarStore(tmp_path)
         with pytest.warns(StoreIntegrityWarning, match="stale"):
             _, _, hit = fresh2.lookup(new_key, packed)
         assert not hit.any()
         assert fresh2.stale_shards == 1  # old version at new address
 
-    def test_manifest_tracks_appends(self, tmp_path):
-        store = ColumnarStore(tmp_path)
-        key = _p100_key()
-        bs, g, r, t, e = _rows()
-        store.append(key, bs, g, r, t, e)
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        assert doc["format"] == MANIFEST_FORMAT
-        assert doc["shards"][key.digest]["points"] == len(bs)
-        assert doc["shards"][key.digest]["file"] == key.filename
-        assert len(store) == len(bs)
 
-    def test_lost_manifest_is_rebuilt_from_shards(self, tmp_path):
+    def test_store_holds_only_shards_and_lock(self, tmp_path):
+        """Appends write one ``.npy`` per identity and the lock file —
+        no sidecar, no manifest, no leftover temp file."""
         store = ColumnarStore(tmp_path)
-        key = _p100_key()
         bs, g, r, t, e = _rows()
-        store.append(key, bs, g, r, t, e)
-        (tmp_path / "manifest.json").unlink()
-        fresh = ColumnarStore(tmp_path)
-        assert fresh.manifest()["shards"][key.digest]["points"] == len(bs)
-        assert (tmp_path / "manifest.json").is_file()  # re-persisted
+        keys = [_p100_key(), _p100_key(n=8192), _p100_key(backend="vectorized")]
+        for key in keys:
+            store.append(key, bs, g, r, t, e)
+            store.append(key, bs[:2], g[:2], r[:2], t[:2], e[:2])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [".lock", *(key.filename for key in keys)]
+        )
 
-    def test_corrupt_manifest_never_affects_lookups(self, tmp_path):
+    def test_stray_sidecar_and_manifest_are_ignored(self, tmp_path):
+        """Files of the retired two-file layout beside a ``/3`` shard
+        neither change what it serves nor get rewritten by appends."""
         store = ColumnarStore(tmp_path)
         key = _p100_key()
         bs, g, r, t, e = _rows()
-        store.append(key, bs, g, r, t, e)
-        (tmp_path / "manifest.json").write_text("{not json")
+        store.append(key, bs[:4], g[:4], r[:4], t[:4], e[:4])
+        sidecar = tmp_path / f"{key.stem}.meta.json"
+        sidecar.write_text(json.dumps({"format": "repro-sweep-store/2",
+                                       "digest": "0" * 64, "points": 99}))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{not json")
+        store.append(key, bs[4:], g[4:], r[4:], t[4:], e[4:])
         fresh = ColumnarStore(tmp_path)
         packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
-        _, _, hit = fresh.lookup(key, packed)
+        times, energies, hit = fresh.lookup(key, packed)
         assert hit.all()
-        # And the advisory index recovers.
-        assert fresh.manifest()["shards"][key.digest]["points"] == len(bs)
-
-    def test_empty_manifest_on_empty_store(self, tmp_path):
-        store = ColumnarStore(tmp_path / "never-written")
-        assert store.manifest() == {"format": MANIFEST_FORMAT, "shards": {}}
-        assert len(store) == 0
+        np.testing.assert_array_equal(times, t)
+        np.testing.assert_array_equal(energies, e)
+        assert (fresh.corrupt_shards, fresh.stale_shards) == (0, 0)
+        assert manifest.read_text() == "{not json"
+        assert json.loads(sidecar.read_text())["points"] == 99
 
 
 class TestUnknownDeviceShards:
@@ -290,10 +295,9 @@ class TestUnknownDeviceShards:
         bs, g, r, t, e = _rows()
         store.append(ghost_key, bs, g, r, t, e)
         # Identity mismatch (the real-world shape: a model-version bump
-        # or moved file) while the sidecar names an unregistered device.
+        # or moved file) while the trailer names an unregistered device.
         target = _p100_key()
         shutil.copy(store.shard_path(ghost_key), store.shard_path(target))
-        shutil.copy(store.meta_path(ghost_key), store.meta_path(target))
         fresh = ColumnarStore(tmp_path)
         packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
         with pytest.raises(UnknownDeviceError) as err:
@@ -311,7 +315,6 @@ class TestUnknownDeviceShards:
         bs, g, r, t, e = _rows()
         store.append(key, bs, g, r, t, e)
         shutil.copy(store.shard_path(key), store.shard_path(other))
-        shutil.copy(store.meta_path(key), store.meta_path(other))
         fresh = ColumnarStore(tmp_path)
         packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
         with pytest.warns(StoreIntegrityWarning, match="stale"):
@@ -333,7 +336,6 @@ class TestUnknownDeviceShards:
         store.append(ghost_key, bs, g, r, t, e)
         target = _p100_key()
         shutil.copy(store.shard_path(ghost_key), store.shard_path(target))
-        shutil.copy(store.meta_path(ghost_key), store.meta_path(target))
         packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
 
         with pytest.raises(UnknownDeviceError):
@@ -364,17 +366,8 @@ class TestUnknownDeviceShards:
         assert hit.all()
 
 
-class TestShardFormatV2:
+class TestShardFormat:
     """The mmap fast path: lazy opens, copy-on-serve, foreign files."""
-
-    @pytest.fixture()
-    def tel(self):
-        from repro import obs
-
-        prev = obs.get_telemetry()
-        tel = obs.set_telemetry(obs.Telemetry("summary"))
-        yield tel
-        obs.set_telemetry(prev)
 
     def _seed(self, tmp_path, count=256):
         store = ColumnarStore(tmp_path)
@@ -435,26 +428,76 @@ class TestShardFormatV2:
         assert hit.all()
         assert tel.counters["store.shard.mmap_opens"] == 2  # cache hit
 
-    def test_torn_pair_missing_sidecar_is_corrupt(self, tmp_path):
-        key, bs, g, r, t, e = self._seed(tmp_path)
-        store = ColumnarStore(tmp_path)
-        store.meta_path(key).unlink()
+    @staticmethod
+    def _split_trailer(path):
+        """``(block bytes, trailer bytes)`` of a shard file."""
+        blob = path.read_bytes()
+        cut = blob.rindex(b"{")  # the trailer is one flat JSON object
+        return blob[:cut], blob[cut:]
+
+    def _assert_never_served(self, tmp_path, key, bs, g, r):
+        fresh = ColumnarStore(tmp_path)
         packed = (bs.astype(np.int64) << 42) | (g.astype(np.int64) << 21) | r
         with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            _, _, hit = store.lookup(key, packed)
+            _, _, hit = fresh.lookup(key, packed)
         assert not hit.any()
+        assert (fresh.corrupt_shards, fresh.stale_shards) == (1, 0)
 
-    def test_torn_pair_row_count_mismatch_is_corrupt(self, tmp_path):
-        key, bs, g, r, t, e = self._seed(tmp_path)
-        store = ColumnarStore(tmp_path)
-        meta = json.loads(store.meta_path(key).read_text())
-        meta["points"] += 1
-        store.meta_path(key).write_text(json.dumps(meta))
-        with pytest.warns(StoreIntegrityWarning, match="corrupt"):
-            _, _, hit = store.lookup(
-                key, np.array([pack_config(4, 2, 12)])
-            )
-        assert not hit.any()
+    def test_trailer_records_shard_identity(self, tmp_path):
+        key, bs, g, r, t, e = self._seed(tmp_path, count=16)
+        path = ColumnarStore(tmp_path).shard_path(key)
+        block, trailer = self._split_trailer(path)
+        assert trailer.endswith(b"\n") and trailer.count(b"\n") == 1
+        assert json.loads(trailer) == {
+            "format": SHARD_FORMAT,
+            "device": key.device,
+            "n": key.n,
+            "model_version": key.model_version,
+            "backend": key.backend,
+            "digest": key.digest,
+        }
+        # What precedes the trailer is a plain ``np.save`` block.
+        path.write_bytes(block)
+        loaded = np.load(path, allow_pickle=False)
+        assert loaded.shape == (6, 16) and loaded.dtype == np.int64
+
+    def test_garbled_trailer_is_corrupt(self, tmp_path):
+        key, bs, g, r, t, e = self._seed(tmp_path, count=16)
+        path = ColumnarStore(tmp_path).shard_path(key)
+        block, trailer = self._split_trailer(path)
+        path.write_bytes(block + b"{not json" + b" " * len(trailer) + b"\n")
+        self._assert_never_served(tmp_path, key, bs, g, r)
+
+    def test_foreign_format_tag_in_trailer_is_corrupt(self, tmp_path):
+        key, bs, g, r, t, e = self._seed(tmp_path, count=16)
+        path = ColumnarStore(tmp_path).shard_path(key)
+        block, trailer = self._split_trailer(path)
+        meta = json.loads(trailer)
+        meta["format"] = "repro-sweep-store/2"
+        path.write_bytes(block + json.dumps(meta).encode() + b"\n")
+        self._assert_never_served(tmp_path, key, bs, g, r)
+
+    def test_other_npy_header_version_is_corrupt(self, tmp_path):
+        """``np.save`` writes a shard's header as version 1.0; the same
+        block and trailer under a 2.0 header is a foreign file."""
+        key, bs, g, r, t, e = self._seed(tmp_path, count=16)
+        path = ColumnarStore(tmp_path).shard_path(key)
+        _, trailer = self._split_trailer(path)
+        block = np.load(path, allow_pickle=False)
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, block, version=(2, 0))
+            fh.write(trailer)
+        self._assert_never_served(tmp_path, key, bs, g, r)
+
+    def test_bytes_after_trailer_are_corrupt(self, tmp_path):
+        """An appended tail — with or without a closing newline — makes
+        the trailer unparseable, never silently ignored."""
+        key, bs, g, r, t, e = self._seed(tmp_path, count=16)
+        path = ColumnarStore(tmp_path).shard_path(key)
+        intact = path.read_bytes()
+        for tail in (b"x", b"{}\n"):
+            path.write_bytes(intact + tail)
+            self._assert_never_served(tmp_path, key, bs, g, r)
 
     def test_garbage_values_degrade_to_miss_at_serve_time(self, tmp_path):
         """Mapped opens skip value validation (it would fault every
@@ -477,7 +520,7 @@ class TestShardFormatV2:
 
     def test_stray_npz_at_identity_is_never_served(self, tmp_path):
         """A file of the retired v1 ``.npz`` format at a shard's identity
-        is not read: its points are recomputed and a v2 pair written."""
+        is not read: its points are recomputed and a v3 shard written."""
         req = SweepRequest(device="p100", n=4096)
         key = shard_key(P100, P100_CAL, 4096)
         store = ColumnarStore(tmp_path)
@@ -511,21 +554,90 @@ class TestShardFormatV2:
         assert planner.stats.store_hits == 0
         assert planner.stats.computed == len(configs)
         assert store.shard_path(key).is_file()
-        assert store.meta_path(key).is_file()
         warm = EvalPlanner(store_dir=tmp_path, backend="scalar")
         assert warm.evaluate_configs(req, configs) == points
         assert warm.stats.computed == 0
 
-    def test_rebuilt_manifest_covers_v2_pairs(self, tmp_path):
+    def test_v2_pair_at_identity_is_never_served(self, tmp_path):
+        """A format-``/2`` block (no trailer) left at a shard's address
+        beside its ``.meta.json`` sidecar reads as corrupt: its points
+        are recomputed and the shard is rewritten as ``/3``."""
+        req = SweepRequest(device="p100", n=4096)
+        key = shard_key(P100, P100_CAL, 4096)
+        store = ColumnarStore(tmp_path)
+        configs = req.configs()
+        packed, bs, g, r = pack_configs(configs)
+        order = np.argsort(packed)
+        wrong = np.full(len(packed), 1.0).view(np.int64)  # wrong on purpose
+        np.save(
+            store.shard_path(key),
+            np.stack([packed[order], bs[order], g[order], r[order], wrong, wrong]),
+        )
+        sidecar = {
+            "format": "repro-sweep-store/2",
+            "device": key.device,
+            "n": key.n,
+            "model_version": key.model_version,
+            "backend": key.backend,
+            "digest": key.digest,
+            "points": len(packed),
+        }
+        (tmp_path / f"{key.stem}.meta.json").write_text(
+            json.dumps(sidecar, sort_keys=True) + "\n"
+        )
+        planner = EvalPlanner(store=store, backend="scalar")
+        with pytest.warns(StoreIntegrityWarning, match="corrupt"):
+            points = planner.evaluate_configs(req, configs)
+        assert points == MatmulGPUApp(P100).sweep_points(4096)
+        assert planner.stats.store_hits == 0
+        assert planner.stats.computed == len(configs)
+        blob = store.shard_path(key).read_bytes()
+        assert json.loads(blob[blob.rindex(b"{"):])["format"] == SHARD_FORMAT
+        warm = EvalPlanner(store_dir=tmp_path, backend="scalar")
+        assert warm.evaluate_configs(req, configs) == points
+        assert warm.stats.computed == 0
+
+
+class TestAppendLock:
+    """Appends serialize their read-merge-write on ``<root>/.lock``."""
+
+    def test_uncontended_append_never_waits(self, tmp_path, tel):
+        store = ColumnarStore(tmp_path)
+        bs, g, r, t, e = _rows()
+        store.append(_p100_key(), bs, g, r, t, e)
+        store.append(_p100_key(n=8192), bs, g, r, t, e)
+        assert tel.counters["store.shard.appends"] == 2
+        assert "store.lock.waits" not in tel.counters
+
+    def test_contended_append_waits_for_the_lock(self, tmp_path, tel):
+        """A held lock blocks the append before it reads the shard; the
+        wait is counted once and the rows land after the release."""
+        import fcntl
+        import threading
+        import time
+
+        store = ColumnarStore(tmp_path)
         key = _p100_key()
         bs, g, r, t, e = _rows()
-        store = ColumnarStore(tmp_path)
-        store.append(key, bs, g, r, t, e)
-        (tmp_path / "manifest.json").unlink()
-        fresh = ColumnarStore(tmp_path)
-        entry = fresh.manifest()["shards"][key.digest]
-        assert entry["points"] == len(bs)
-        assert entry["file"].endswith(".npy")
+        with open(tmp_path / ".lock", "wb") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            writer = threading.Thread(
+                target=store.append, args=(key, bs, g, r, t, e)
+            )
+            writer.start()
+            deadline = time.monotonic() + 30
+            while (
+                "store.lock.waits" not in tel.counters
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert tel.counters.get("store.lock.waits") == 1
+            assert writer.is_alive()
+            assert not store.shard_path(key).exists()
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert tel.counters["store.lock.waits"] == 1
+        assert ColumnarStore(tmp_path).shard_points(key) == len(bs)
 
 
 class TestPlannerWithStore:
@@ -687,7 +799,7 @@ class TestCacheRecords:
         report = migrate_json_cache(tmp_path / "cache", tmp_path / "store")
         assert report.scanned == 0 and report.migrated == 0
         assert report.shards == {}
-        assert len(ColumnarStore(tmp_path / "store")) == 0
+        assert not list((tmp_path / "store").glob("*.npy"))
 
     def test_torn_record_is_migrated_once_rewritten(
         self, tmp_path, json_cache

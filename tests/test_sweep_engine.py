@@ -163,7 +163,7 @@ class TestSweepEngine:
             4096, rng=np.random.default_rng(7), engine=planner
         )
         assert planner.stats.requested == 0
-        assert len(planner.store) == 0
+        assert not list(tmp_path.glob("*.npy"))
         assert len(noisy) == len(app.sweep_configs())
 
 
