@@ -5,18 +5,19 @@ entry points so a user can regenerate any paper artifact, or analyze a
 custom workload, without writing code:
 
 * ``experiment <id>`` — regenerate one paper artifact or extension
-  study (``table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 headline
-  ablation ep-metrics methods sensitivity dvfs dvfs-gpu
-  budgeted-search``);
+  study; the ids, their modules and entry points are the table
+  :data:`repro.experiments.EXPERIMENTS`, and
+  :func:`repro.experiments.run_experiment` imports only the module it
+  runs;
 * ``sweep`` — evaluate a GPU matmul configuration sweep and print the
   point cloud, the Pareto front, and the trade-off table;
 * ``tradeoff`` — answer "how much energy can I save within an X%
   slowdown budget?" for a workload;
-* ``all`` — run the whole sweep-driven figure set through one
-  cross-experiment planner: every request is collected up front,
-  deduplicated, partitioned against the columnar store, and the
-  misses filled in vectorized mega-batches (see
-  :mod:`repro.sweep.planner`);
+* ``all`` — run the whole sweep-driven figure set (the table's
+  ``sweep=True`` rows) through one cross-experiment planner: every
+  request is collected up front, deduplicated, partitioned against
+  the columnar store, and the misses filled in vectorized
+  mega-batches (see :mod:`repro.sweep.planner`);
 * ``machines`` — list the platform registry;
 * ``devices`` — manage the declarative device registry
   (:mod:`repro.devices`): ``list``/``show``/``validate`` the
@@ -59,28 +60,6 @@ from collections.abc import Sequence
 from repro.analysis.report import format_pct, format_table
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS = (
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "headline",
-    "ablation",
-    "ep-metrics",
-    "methods",
-    "sensitivity",
-    "dvfs",
-    "dvfs-gpu",
-    "budgeted-search",
-    "energy-model",
-)
-
 
 def positive_int(text: str) -> int:
     """Argparse type for flags that must be >= 1 (``--n`` etc.).
@@ -144,12 +123,72 @@ def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_bench_flags(
+    p: argparse.ArgumentParser, device_choices: Sequence[str]
+) -> None:
+    """The ``repro bench`` flags; ``None`` defaults resolve in
+    :func:`repro.sweep.bench.run_from_args`, so the parser does not
+    import the benchmark."""
+    p.add_argument("--device", choices=device_choices, default="p100")
+    p.add_argument(
+        "--sizes", type=int, nargs="+", default=None,
+        metavar="N", help="matrix sizes to sweep (default: 10240 18432)",
+    )
+    p.add_argument(
+        "--repeats", type=int, default=5,
+        help="timing repeats per backend; wall-clock is the minimum",
+    )
+    p.add_argument(
+        "--no-planner", action="store_true",
+        help="skip the planner session case",
+    )
+    p.add_argument(
+        "--large", action="store_true",
+        help=(
+            "include the million-point synthetic shard case (mapped "
+            "store build + subprocess peak-RSS gate)"
+        ),
+    )
+    p.add_argument(
+        "--quick", action="store_true",
+        help="single repeat — the CI smoke settings (the planner case "
+             "stays on)",
+    )
+    p.add_argument(
+        "--output", default="BENCH_sweep.json", metavar="FILE",
+        help="where to write the JSON document (default BENCH_sweep.json)",
+    )
+    p.add_argument(
+        "--telemetry-output", default=None, metavar="FILE",
+        help=(
+            "where to write the planner session's telemetry event "
+            "stream (`repro trace` / `repro perf` input; CI uploads "
+            "it as an artifact; default: benchmarks/BENCH_telemetry."
+            "jsonl when a benchmarks/ directory sits next to "
+            "--output, else next to --output)"
+        ),
+    )
+    p.add_argument(
+        "--history", default=None, metavar="FILE",
+        help=(
+            "append this run (host fingerprint + raw wall samples) to "
+            "a repro-bench-history/1 JSONL — the `repro perf check` "
+            "baseline (default: benchmarks/history/bench_history.jsonl)"
+        ),
+    )
+    p.add_argument(
+        "--no-history", action="store_true",
+        help="do not append this run to the bench history store",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Every --device flag derives its choices from the device registry
     # — the single source of truth — so subparsers cannot drift apart
     # and data-file devices ($REPRO_DEVICE_DIR) appear everywhere at
     # once.
     from repro.devices.registry import gpu_device_choices
+    from repro.experiments import EXPERIMENTS
     from repro.sweep.keys import BACKENDS
 
     device_choices = gpu_device_choices()
@@ -182,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser(
         "experiment", help="regenerate one paper artifact"
     )
-    exp.add_argument("id", choices=_EXPERIMENTS)
+    exp.add_argument("id", choices=tuple(EXPERIMENTS))
     add_engine_flags(exp)
 
     sweep = sub.add_parser(
@@ -254,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("file", help="telemetry JSONL file to render")
 
-    from repro.obs.history import DEFAULT_HISTORY_PATH
-
     perf = sub.add_parser(
         "perf",
         help=(
@@ -310,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench document to check (default: BENCH_sweep.json)",
     )
     perf_check.add_argument(
-        "--history", default=str(DEFAULT_HISTORY_PATH), metavar="FILE",
+        "--history", default=None, metavar="FILE",
         help=(
             "repro-bench-history/1 JSONL baseline "
             "(default: benchmarks/history/bench_history.jsonl)"
@@ -456,13 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination columnar store directory",
     )
 
-    from repro.sweep.bench import add_bench_flags
-
     bench = sub.add_parser(
         "bench",
         help="time scalar vs parallel vs vectorized sweep backends",
     )
-    add_bench_flags(bench)
+    _add_bench_flags(bench, device_choices)
     _add_telemetry_flag(bench)
 
     report = sub.add_parser(
@@ -485,71 +520,6 @@ def _build_engine(args: argparse.Namespace):
     return EvalPlanner(store_dir=args.store_dir, backend=args.backend)
 
 
-def _run_experiment(exp_id: str, engine=None) -> str:
-    from repro.experiments import (
-        ablation,
-        dvfs_comparison,
-        ep_metrics_study,
-        fig1_strong_ep,
-        fig2_p100_n18432,
-        fig3_decomposition,
-        fig4_cpu_utilization,
-        fig5_source,
-        fig6_additivity,
-        fig7_k40c_pareto,
-        fig8_p100_pareto,
-        gpu_energy_model,
-        headline,
-        measurement_methods,
-        sensitivity,
-        table1_specs,
-    )
-    from repro.machines import K40C, P100
-
-    if exp_id == "table1":
-        return table1_specs.run().render()
-    if exp_id == "fig1":
-        return fig1_strong_ep.run().render()
-    if exp_id == "fig2":
-        return fig2_p100_n18432.run(engine=engine).render()
-    if exp_id == "fig3":
-        return fig3_decomposition.run().render()
-    if exp_id == "fig4":
-        return fig4_cpu_utilization.run().render()
-    if exp_id == "fig5":
-        return fig5_source.run().render()
-    if exp_id == "fig6":
-        return (
-            "P100:\n" + fig6_additivity.run(P100).render()
-            + "\n\nK40c:\n" + fig6_additivity.run(K40C).render()
-        )
-    if exp_id == "fig7":
-        return fig7_k40c_pareto.run(engine=engine).render()
-    if exp_id == "fig8":
-        return fig8_p100_pareto.run(engine=engine).render()
-    if exp_id == "headline":
-        return headline.run(engine=engine).render()
-    if exp_id == "ablation":
-        return ablation.run().render()
-    if exp_id == "ep-metrics":
-        return ep_metrics_study.run().render()
-    if exp_id == "methods":
-        return measurement_methods.run().render()
-    if exp_id == "sensitivity":
-        return sensitivity.run(engine=engine).render()
-    if exp_id == "dvfs":
-        return dvfs_comparison.run().render()
-    if exp_id == "dvfs-gpu":
-        return dvfs_comparison.run_gpu().render()
-    if exp_id == "budgeted-search":
-        from repro.experiments import budgeted_search
-
-        return budgeted_search.run(engine=engine).render()
-    if exp_id == "energy-model":
-        return gpu_energy_model.run().render()
-    raise AssertionError(f"unhandled experiment {exp_id!r}")
-
-
 def _run_all(store_dir: str | None, backend: str) -> str:
     """Run every sweep-driven experiment through one planner session.
 
@@ -559,11 +529,8 @@ def _run_all(store_dir: str | None, backend: str) -> str:
     """
     import os
 
-    from repro.sweep.planner import (
-        SESSION_EXPERIMENTS,
-        EvalPlanner,
-        collect_session_requests,
-    )
+    from repro.experiments import SWEEP_EXPERIMENTS, run_experiment
+    from repro.sweep.planner import EvalPlanner, collect_session_requests
 
     if store_dir is None:
         store_dir = os.environ.get("REPRO_STORE_DIR")
@@ -572,9 +539,9 @@ def _run_all(store_dir: str | None, backend: str) -> str:
     planner.execute()
 
     out = []
-    for exp_id in SESSION_EXPERIMENTS:
+    for exp_id in SWEEP_EXPERIMENTS:
         out.append(f"== {exp_id} ==")
-        out.append(_run_experiment(exp_id, engine=planner))
+        out.append(run_experiment(exp_id, engine=planner))
         out.append("")
     s = planner.stats
     out.append(
@@ -874,44 +841,18 @@ def _run_devices_fit(args: argparse.Namespace) -> str:
     return "\n".join(out)
 
 
-def _experiment_requests(exp_id: str):
-    """The sweep requests one experiment will make, or None.
-
-    Only the sweep-driven experiments publish a ``requests()``
-    protocol; the rest have no sweep inputs to hash into a
-    provenance manifest.
-    """
-    from repro.experiments import (
-        budgeted_search,
-        fig2_p100_n18432,
-        fig7_k40c_pareto,
-        fig8_p100_pareto,
-        headline,
-        sensitivity,
-    )
-
-    table = {
-        "fig2": fig2_p100_n18432.requests,
-        "fig7": fig7_k40c_pareto.requests,
-        "fig8": fig8_p100_pareto.requests,
-        "headline": headline.requests,
-        "sensitivity": sensitivity.requests,
-        "budgeted-search": budgeted_search.requests,
-    }
-    fn = table.get(exp_id)
-    return tuple(fn()) if fn is not None else None
-
-
 def _provenance_for(args: argparse.Namespace) -> dict:
     """Build the run-provenance manifest of one telemetry-carrying run."""
     from repro.obs.provenance import run_manifest
 
     backend = getattr(args, "backend", None)
     if args.command == "experiment":
+        from repro.experiments import experiment_requests
+
         return run_manifest(
             f"experiment {args.id}",
             backend=backend,
-            requests=_experiment_requests(args.id),
+            requests=experiment_requests(args.id),
         )
     if args.command == "sweep":
         from repro.sweep.plan import SweepRequest
@@ -970,7 +911,7 @@ def _run_perf_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs.history import load_history
+    from repro.obs.history import DEFAULT_HISTORY_PATH, load_history
     from repro.obs.sentinel import check_bench
 
     bench_path = Path(args.bench)
@@ -986,7 +927,7 @@ def _run_perf_check(args: argparse.Namespace) -> int:
             f"repro perf check: {bench_path}: not a JSON document ({exc})"
         ) from None
     try:
-        history = load_history(args.history)
+        history = load_history(args.history or DEFAULT_HISTORY_PATH)
     except ValueError as exc:
         raise SystemExit(f"repro perf check: {exc}") from None
     report = check_bench(
@@ -1038,7 +979,9 @@ def _run_perf(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
-        print(_run_experiment(args.id, engine=_build_engine(args)))
+        from repro.experiments import run_experiment
+
+        print(run_experiment(args.id, engine=_build_engine(args)))
     elif args.command == "sweep":
         print(
             _run_sweep(

@@ -157,6 +157,8 @@ def greedy_front_search(
     def key(cfg: Mapping[str, Any]) -> tuple:
         return tuple(cfg[n] for n in names)
 
+    all_keys = [key(c) for c in all_cfgs]
+
     def try_eval(cfg: dict[str, Any]) -> None:
         k = key(cfg)
         if k in seen or len(evaluated) >= budget:
@@ -191,7 +193,9 @@ def greedy_front_search(
         try_eval(cand)
         if len(evaluated) == before:
             # Duplicate; jump to a random unseen configuration to escape.
-            fresh = [c for c in all_cfgs if key(c) not in seen]
+            fresh = [
+                c for c, k in zip(all_cfgs, all_keys) if k not in seen
+            ]
             if not fresh:
                 break
             try_eval(rng.choice(fresh))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.front_quality import additive_epsilon, igd
 from repro.analysis.report import format_table
-from repro.apps.matmul_gpu import MatmulConfig, MatmulGPUApp
+from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.biobjective import greedy_front_search
 from repro.core.pareto import ParetoPoint, pareto_front
 from repro.machines import get_machine
@@ -95,10 +95,9 @@ def run(
 ) -> BudgetedSearchResult:
     """Score the greedy search at several evaluation budgets.
 
-    With ``engine`` given, every point evaluation (the exhaustive sweep
-    and the greedy search's probes) is routed through the planner and
-    its store; the in-run memo below still guarantees each
-    configuration is modelled at most once per run either way.
+    With ``engine`` given, the points (the exhaustive sweep and every
+    configuration the greedy search can probe) are served by the
+    planner and its store; without one they are modelled in-process.
     """
     from repro import obs
 
@@ -117,52 +116,19 @@ def _run_scored(
     space = app.config_space()
     size = space.size()
 
-    cache: dict[tuple[int, int, int], tuple[float, float]] = {}
-
-    table_fn = getattr(engine, "table", None) if engine is not None else None
-    if table_fn is not None:
-        # Columnar prefill: one table request covers the exhaustive
-        # pass and every configuration a greedy probe can touch, so
-        # ``evaluate`` below never leaves the in-run memo.
-        from repro.sweep.plan import SweepRequest
-
-        request = SweepRequest(
-            device=spec, n=n, min_bs=1, cal=app.device.cal
+    # One columnar prefill covers the exhaustive pass and every
+    # configuration a greedy probe can reach (the full ``min_bs=1``
+    # space), so each configuration is modelled at most once per run.
+    table = app.sweep_table(n, min_bs=1, engine=engine)
+    cache = dict(
+        zip(
+            zip(table["bs"].tolist(), table["g"].tolist(), table["r"].tolist()),
+            zip(table["time_s"].tolist(), table["energy_j"].tolist()),
         )
-        rows = table_fn(
-            request,
-            [
-                MatmulConfig(bs=c["bs"], g=c["g"], r=c["r"])
-                for c in space
-            ],
-        )
-        cache.update(
-            zip(
-                zip(
-                    rows["bs"].tolist(),
-                    rows["g"].tolist(),
-                    rows["r"].tolist(),
-                ),
-                zip(rows["time_s"].tolist(), rows["energy_j"].tolist()),
-            )
-        )
+    )
 
     def evaluate(cfg) -> tuple[float, float]:
-        key = (cfg["bs"], cfg["g"], cfg["r"])
-        if key not in cache:
-            if engine is not None:
-                point = engine.evaluate(
-                    spec, n,
-                    MatmulConfig(bs=cfg["bs"], g=cfg["g"], r=cfg["r"]),
-                    cal=app.device.cal,
-                )
-                cache[key] = (point.time_s, point.energy_j)
-            else:
-                run_ = app.device.run_matmul(
-                    n, cfg["bs"], cfg["g"], cfg["r"]
-                )
-                cache[key] = (run_.time_s, run_.dynamic_energy_j)
-        return cache[key]
+        return cache[cfg["bs"], cfg["g"], cfg["r"]]
 
     exhaustive_pts = [
         ParetoPoint(*evaluate(cfg), config=dict(cfg)) for cfg in space

@@ -28,7 +28,10 @@ from repro.machines.specs import GPUSpec, K40C, P100
 from repro.simgpu.device import GPUDevice
 from repro.simgpu.power import aux_decay
 
-__all__ = ["AdditivityCell", "Fig6Result", "run", "DEFAULT_SIZES"]
+__all__ = [
+    "AdditivityCell", "Fig6Panels", "Fig6Result", "run", "run_panels",
+    "DEFAULT_SIZES",
+]
 
 #: The paper's Fig. 6 size sweep (P100 panels).
 DEFAULT_SIZES = (5120, 7168, 10240, 12288, 15360, 17408)
@@ -146,3 +149,19 @@ def run(
         cells=tuple(cells),
         threshold_n=spec.additivity_threshold_n,
     )
+
+
+@dataclass(frozen=True)
+class Fig6Panels:
+    """The paper's two Fig. 6 panels: the study on the P100 and the K40c."""
+
+    p100: Fig6Result
+    k40c: Fig6Result
+
+    def render(self) -> str:
+        return f"P100:\n{self.p100.render()}\n\nK40c:\n{self.k40c.render()}"
+
+
+def run_panels() -> Fig6Panels:
+    """Both Fig. 6 panels (``repro experiment fig6``)."""
+    return Fig6Panels(p100=run(P100), k40c=run(K40C))

@@ -25,7 +25,6 @@ from repro.analysis.report import format_table
 from repro.apps.matmul_gpu import MatmulGPUApp
 from repro.core.pareto import front_indices
 from repro.machines import get_machine
-from repro.simcpu.calibration import HASWELL_CAL  # noqa: F401 (doc link)
 from repro.simgpu.calibration import calibration_for
 
 # Device resolution by name through the registry-backed lookup (the

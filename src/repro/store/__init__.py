@@ -13,31 +13,23 @@ vectorized lookup per sweep instead of any per-point I/O:
   round-trip bit-exactly.
 * atomic temp-file + ``os.replace`` writes, serialized across
   processes by an ``flock`` on ``<root>/.lock``; corrupted/truncated
-  shards are treated as misses and recomputed.
+  shards are treated as misses and recomputed; temp files a killed
+  writer left behind are removed by the next store handle's first
+  append.
 * :func:`~repro.store.migrate.migrate_json_cache` — a one-way import
   of a JSON point cache written by earlier versions (``repro cache
   migrate``).
 """
 
-from repro.store.columnar import (
-    SHARD_FORMAT,
-    ColumnarStore,
-    ShardKey,
-    pack_config,
-    pack_configs,
-    shard_key,
-    unpack_config,
-)
-from repro.store.migrate import MigrationReport, migrate_json_cache
+from repro._lazy import attach
 
-__all__ = [
-    "SHARD_FORMAT",
-    "ColumnarStore",
-    "MigrationReport",
-    "ShardKey",
-    "migrate_json_cache",
-    "pack_config",
-    "pack_configs",
-    "shard_key",
-    "unpack_config",
-]
+_SUBMODULES = {
+    "columnar": (
+        "SHARD_FORMAT", "ColumnarStore", "ShardKey", "pack_config",
+        "pack_configs", "shard_key", "unpack_config",
+    ),
+    "migrate": ("MigrationReport", "migrate_json_cache"),
+}
+
+__all__ = sorted(name for names in _SUBMODULES.values() for name in names)
+__getattr__, __dir__ = attach(__name__, _SUBMODULES)

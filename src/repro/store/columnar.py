@@ -39,7 +39,10 @@ shard under its final name; a corrupted or truncated shard is treated
 as empty and recomputed, and the next append overwrites it.  Appends
 hold an exclusive ``flock`` on ``<root>/.lock`` across the
 read-merge-write, so concurrent writers — threads or processes —
-converge on the union of their rows.
+converge on the union of their rows.  A writer killed between its
+temp write and its replace leaves the temp file behind; the first
+append of the next store handle removes it under the lock
+(``store.tmp.reaped``).
 """
 
 from __future__ import annotations
@@ -275,6 +278,10 @@ class ColumnarStore:
         #: mismatch at their address (e.g. a stale model version).
         self.stale_shards = 0
         self._shards: dict[str, _Shard] = {}
+        #: Whether this handle's first append has removed orphaned
+        #: temp files yet (one directory scan per handle, not per
+        #: append: a scan costs O(shards)).
+        self._reaped = False
 
     def _recompute_fallback(self, path: Path, reason: str) -> None:
         """Surface one untrusted-shard event (warning + obs counters).
@@ -612,6 +619,14 @@ class ColumnarStore:
             except BlockingIOError:
                 obs.count("store.lock.waits")
                 fcntl.flock(lock, fcntl.LOCK_EX)
+            if not self._reaped:
+                # Temp files are only written under this lock, so any
+                # found now were left by a writer killed before its
+                # replace.
+                for orphan in self.root.glob(".*.tmp"):
+                    orphan.unlink(missing_ok=True)
+                    obs.count("store.tmp.reaped")
+                self._reaped = True
             # Fresh read under the lock: no other writer can replace the
             # shard between this read and the write below.
             current = self._read_shard(key)

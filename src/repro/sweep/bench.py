@@ -95,7 +95,6 @@ __all__ = [
     "BenchmarkCase",
     "run_benchmark",
     "format_results",
-    "add_bench_flags",
     "run_from_args",
     "main",
 ]
@@ -710,67 +709,6 @@ def format_results(doc: dict) -> str:
     return out
 
 
-def add_bench_flags(parser: argparse.ArgumentParser) -> None:
-    """Register the ``repro bench`` flags on ``parser``."""
-    from repro.devices.registry import gpu_device_choices
-
-    parser.add_argument(
-        "--device", choices=gpu_device_choices(), default="p100"
-    )
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),
-        metavar="N", help="matrix sizes to sweep (default: 10240 18432)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repeats per backend; wall-clock is the minimum",
-    )
-    parser.add_argument(
-        "--no-planner", action="store_true",
-        help="skip the planner session case",
-    )
-    parser.add_argument(
-        "--large", action="store_true",
-        help=(
-            "include the million-point synthetic shard case (mapped "
-            "store build + subprocess peak-RSS gate)"
-        ),
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="single repeat — the CI smoke settings (the planner case "
-             "stays on)",
-    )
-    parser.add_argument(
-        "--output", default="BENCH_sweep.json", metavar="FILE",
-        help="where to write the JSON document (default BENCH_sweep.json)",
-    )
-    parser.add_argument(
-        "--telemetry-output", default=None, metavar="FILE",
-        help=(
-            "where to write the planner session's telemetry event "
-            "stream (`repro trace` / `repro perf` input; CI uploads "
-            "it as an artifact; default: benchmarks/BENCH_telemetry."
-            "jsonl when a benchmarks/ directory sits next to "
-            "--output, else next to --output)"
-        ),
-    )
-    from repro.obs.history import DEFAULT_HISTORY_PATH
-
-    parser.add_argument(
-        "--history", default=str(DEFAULT_HISTORY_PATH), metavar="FILE",
-        help=(
-            "append this run (host fingerprint + raw wall samples) to "
-            "a repro-bench-history/1 JSONL — the `repro perf check` "
-            "baseline (default: benchmarks/history/bench_history.jsonl)"
-        ),
-    )
-    parser.add_argument(
-        "--no-history", action="store_true",
-        help="do not append this run to the bench history store",
-    )
-
-
 def run_from_args(args: argparse.Namespace) -> int:
     """Run the benchmark from parsed flags; returns the exit code.
 
@@ -792,7 +730,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         )
     doc = run_benchmark(
         device=args.device,
-        sizes=args.sizes,
+        sizes=args.sizes or DEFAULT_SIZES,
         repeats=1 if args.quick else args.repeats,
         planner=not args.no_planner,
         large=args.large,
@@ -802,9 +740,15 @@ def run_from_args(args: argparse.Namespace) -> int:
     print(format_results(doc))
     print(f"\nwrote {args.output}")
     if not args.no_history:
-        from repro.obs.history import append_record, history_record
+        from repro.obs.history import (
+            DEFAULT_HISTORY_PATH,
+            append_record,
+            history_record,
+        )
 
-        target = append_record(args.history, history_record(doc))
+        target = append_record(
+            args.history or DEFAULT_HISTORY_PATH, history_record(doc)
+        )
         print(f"appended history record to {target}")
 
     failed = False
@@ -867,13 +811,7 @@ def run_from_args(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Standalone entry point (``tools/bench_sweep.py``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description=(
-            "Time scalar vs vectorized sweep backends and the planner "
-            "session path"
-        ),
-    )
-    add_bench_flags(parser)
-    return run_from_args(parser.parse_args(argv))
+    """Standalone entry point (``tools/bench_sweep.py``): ``repro bench``."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["bench", *(sys.argv[1:] if argv is None else argv)])

@@ -1,8 +1,8 @@
 """Cross-experiment evaluation planner (``repro all``).
 
-Every sweep-driven experiment — fig2, fig7, fig8, headline,
-sensitivity, budgeted-search — ultimately asks for the same kind of
-thing: the ``(time, energy)`` objectives of a set of
+Every sweep-driven experiment (the ``sweep=True`` rows of
+:data:`repro.experiments.EXPERIMENTS`) ultimately asks for the same
+kind of thing: the ``(time, energy)`` objectives of a set of
 ``(device, N, BS, G, R)`` points.  Run per-experiment, those requests
 overlap heavily (fig2's P100 N=18432 sweep is also one of headline's
 eight P100 sweeps; fig7's K40c sizes appear in headline's K40c range)
@@ -65,18 +65,7 @@ __all__ = [
     "EvalPlanner",
     "PlannerStats",
     "collect_session_requests",
-    "SESSION_EXPERIMENTS",
 ]
-
-#: The sweep-driven experiments ``repro all`` runs through one planner.
-SESSION_EXPERIMENTS = (
-    "fig2",
-    "fig7",
-    "fig8",
-    "headline",
-    "sensitivity",
-    "budgeted-search",
-)
 
 
 @dataclass
@@ -457,25 +446,15 @@ class EvalPlanner:
 def collect_session_requests() -> tuple[SweepRequest, ...]:
     """Every sweep request of the full figure set, in experiment order.
 
-    The union of what fig2, fig7, fig8, headline, sensitivity and
-    budgeted-search will ask for — the input of a ``repro all``
-    session.  Duplicates across experiments are intentional (the
-    planner's dedup pass is what collapses them).
+    The concatenated ``requests()`` of the sweep-driven experiments
+    (:data:`repro.experiments.SWEEP_EXPERIMENTS`) — the input of a
+    ``repro all`` session.  Duplicates across experiments are
+    intentional (the planner's dedup pass is what collapses them).
     """
-    from repro.experiments import (
-        budgeted_search,
-        fig2_p100_n18432,
-        fig7_k40c_pareto,
-        fig8_p100_pareto,
-        headline,
-        sensitivity,
-    )
+    from repro.experiments import SWEEP_EXPERIMENTS, experiment_requests
 
-    requests: list[SweepRequest] = []
-    requests.extend(fig2_p100_n18432.requests())
-    requests.extend(fig7_k40c_pareto.requests())
-    requests.extend(fig8_p100_pareto.requests())
-    requests.extend(headline.requests())
-    requests.extend(sensitivity.requests())
-    requests.extend(budgeted_search.requests())
-    return tuple(requests)
+    return tuple(
+        request
+        for exp_id in SWEEP_EXPERIMENTS
+        for request in experiment_requests(exp_id)
+    )

@@ -200,27 +200,16 @@ class TestFigureRenderParity:
         front = pareto_front(MatmulGPUApp(P100).sweep_points(10240))
         assert _p100_verdict(P100_CAL, 10240) == (len(front) >= 2)
 
-    def test_budgeted_search_table_prefill_matches_per_point_serving(self):
-        """The columnar prefill serves the same floats as the legacy
-        per-point ``engine.evaluate`` loop (same engine, same backend —
-        backends themselves may differ in the last ulp)."""
+    def test_budgeted_search_planner_prefill_matches_in_process_model(self):
+        """The planner-served prefill holds the same floats as the
+        engine-less in-process model (same scalar arithmetic — the
+        vectorized backend may differ in the last ulp)."""
         from repro.experiments import budgeted_search
         from repro.sweep.planner import EvalPlanner
 
-        class PointOnlyEngine:
-            """Engine protocol without ``table`` — forces the legacy path."""
-
-            def __init__(self):
-                self._inner = EvalPlanner()
-
-            def evaluate(self, *args, **kwargs):
-                return self._inner.evaluate(*args, **kwargs)
-
         result = budgeted_search.run(
             budget_fractions=(0.2, 0.5),
-            engine=EvalPlanner(),
+            engine=EvalPlanner(backend="scalar"),
         )
-        legacy = budgeted_search.run(
-            budget_fractions=(0.2, 0.5), engine=PointOnlyEngine()
-        )
-        assert result == legacy
+        in_process = budgeted_search.run(budget_fractions=(0.2, 0.5))
+        assert result == in_process

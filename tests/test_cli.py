@@ -8,7 +8,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sweep.planner import SESSION_EXPERIMENTS
+from repro.experiments import SWEEP_EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
@@ -203,10 +203,8 @@ class TestAllCommand:
         store = tmp_path / "store"
         assert main(["all", "--store-dir", str(store)]) == 0
         out = capsys.readouterr().out
-        for section in ("== fig2 ==", "== fig7 ==", "== fig8 ==",
-                        "== headline ==", "== sensitivity ==",
-                        "== budgeted-search =="):
-            assert section in out
+        for exp_id in SWEEP_EXPERIMENTS:
+            assert f"== {exp_id} ==" in out
         assert "planner session:" in out
         assert "0 store hits" in out  # cold run
         assert len(list(store.glob("*.npy"))) > 0
@@ -223,13 +221,13 @@ class TestAllCommand:
     def test_all_without_store_runs_in_memory(self, all_stdout):
         assert "planner session:" in all_stdout
 
-    @pytest.mark.parametrize("exp_id", SESSION_EXPERIMENTS)
+    @pytest.mark.parametrize("exp_id", SWEEP_EXPERIMENTS)
     def test_experiment_output_equals_its_all_section(
         self, exp_id, all_stdout, capsys
     ):
         """One engine: a single experiment prints exactly what the
         session prints for it."""
-        headers = [f"== {e} ==\n" for e in SESSION_EXPERIMENTS]
+        headers = [f"== {e} ==\n" for e in SWEEP_EXPERIMENTS]
         start = all_stdout.index(f"== {exp_id} ==\n")
         body = all_stdout[start + len(f"== {exp_id} ==\n"):]
         ends = [body.index(h) for h in headers if h in body]

@@ -3,7 +3,8 @@
 Every ``python -m repro`` command used to import SciPy (~0.7 s) through
 the eager package inits, although only Fig. 2's rank correlation called
 it.  These tests pin the boundary: the commands a user runs cold work
-with SciPy unimportable, the parser-only commands load no NumPy, the
+with SciPy unimportable, the parser-only commands load no NumPy, each
+cold command loads exactly its pinned set of ``repro`` modules, the
 lazy package inits resolve exactly what the eager ones exported, and
 the NumPy Spearman correlation equals SciPy's bit for bit.
 """
@@ -27,8 +28,8 @@ from repro.experiments.fig2_p100_n18432 import _rank_correlation_cols
 SRC = Path(repro.__file__).resolve().parents[1]
 
 #: Installed as ``sitecustomize`` in the child: SciPy cannot be
-#: imported, and the heavy modules loaded by exit are reported last
-#: on stderr.
+#: imported, and the heavy modules and the ``repro`` modules loaded by
+#: exit are reported on stderr (``heavy:`` and ``repro:`` lines).
 BLOCK_SCIPY = '''
 import atexit
 import sys
@@ -41,13 +42,17 @@ class _BlockSciPy:
         return None
 
 
-sys.meta_path.insert(0, _BlockSciPy())
-atexit.register(
-    lambda: print(
-        "heavy:", *sorted({"numpy", "scipy"} & set(sys.modules)),
+def _report():
+    loaded = set(sys.modules)
+    print("heavy:", *sorted({"numpy", "scipy"} & loaded), file=sys.stderr)
+    print(
+        "repro:", *sorted(m for m in loaded if m.split(".")[0] == "repro"),
         file=sys.stderr,
     )
-)
+
+
+sys.meta_path.insert(0, _BlockSciPy())
+atexit.register(_report)
 '''
 
 #: The commands of the benchmark's ``cli-cold`` mix (the warm-store
@@ -65,6 +70,41 @@ COLD_COMMANDS = [
 
 #: Commands that only parse arguments and read the device registry.
 PARSER_ONLY = (["--help"], ["devices", "list"])
+
+#: The ``repro`` modules a cold command loads, ``repro.`` prefix
+#: dropped (``""`` is the ``repro`` package itself).  ``--help`` loads no experiment, no benchmark and no bench
+#: history; ``experiment fig7`` loads no other experiment; ``all``
+#: loads the sweep-driven experiments only.
+_PARSER_MODULES = {
+    "", "_lazy", "analysis", "analysis.report", "cli", "devices",
+    "devices.registry", "devices.schema", "experiments", "machines",
+    "machines.specs", "simgpu", "simgpu.calibration", "sweep",
+    "sweep.keys",
+}
+_SWEEP_MODULES = _PARSER_MODULES | {
+    "analysis.ep_analysis", "apps", "apps.matmul_gpu", "core",
+    "core.biobjective", "core.definitions", "core.pareto",
+    "core.tradeoff", "obs", "obs.telemetry", "simgpu.batch",
+    "simgpu.device", "simgpu.dvfs", "simgpu.kernel", "simgpu.memhier",
+    "simgpu.occupancy", "simgpu.power", "simgpu.warps", "store",
+    "store.columnar", "sweep.plan", "sweep.planner",
+}
+REPRO_MODULES = {
+    "--help": _PARSER_MODULES,
+    "experiment fig7": _SWEEP_MODULES | {"experiments.fig7_k40c_pareto"},
+    "all": _SWEEP_MODULES | {
+        "analysis.front_quality", "core.incremental",
+        "experiments.budgeted_search", "experiments.fig2_p100_n18432",
+        "experiments.fig7_k40c_pareto", "experiments.fig8_p100_pareto",
+        "experiments.headline", "experiments.sensitivity",
+    },
+}
+
+
+def _exit_report(stderr: str, tag: str) -> list[str]:
+    """The names on the child's ``<tag>:`` exit-report line."""
+    (line,) = [x for x in stderr.splitlines() if x.startswith(f"{tag}:")]
+    return line.split()[1:]
 
 
 def _run(argv, tmp_path, *, block: bool) -> subprocess.CompletedProcess:
@@ -89,10 +129,25 @@ def test_cold_command_runs_without_scipy(argv, tmp_path):
     assert reference.returncode == 0, reference.stderr
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == reference.stdout
-    heavy = blocked.stderr.splitlines()[-1].split()[1:]
+    heavy = _exit_report(blocked.stderr, "heavy")
     assert "scipy" not in heavy
     if argv in PARSER_ONLY:
         assert heavy == []
+
+
+@pytest.mark.parametrize("command", sorted(REPRO_MODULES))
+def test_cold_command_loads_its_pinned_repro_modules(command, tmp_path):
+    proc = _run(command.split(), tmp_path, block=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        m.removeprefix("repro").removeprefix(".")
+        for m in _exit_report(proc.stderr, "repro")
+    }
+    expected = REPRO_MODULES[command]
+    assert loaded == expected, (
+        f"unexpected: {sorted(loaded - expected)}, "
+        f"missing: {sorted(expected - loaded)}"
+    )
 
 
 class TestRankCorrelationParity:
@@ -130,7 +185,9 @@ class TestRankCorrelationParity:
         assert np.isnan(_rank_correlation_cols(np.array(a), np.array(b)))
 
 
-LAZY_PACKAGES = ["simgpu", "measurement", "core", "apps", "sweep", "analysis"]
+LAZY_PACKAGES = [
+    "simgpu", "measurement", "core", "apps", "sweep", "analysis", "store",
+]
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)

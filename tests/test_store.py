@@ -639,6 +639,46 @@ class TestAppendLock:
         assert tel.counters["store.lock.waits"] == 1
         assert ColumnarStore(tmp_path).shard_points(key) == len(bs)
 
+    def test_append_reaps_a_killed_writers_temp_file(self, tmp_path, tel):
+        """A writer killed between its temp write and its replace leaves
+        ``.<shard>.<pid>.tmp`` behind; the next append removes it, so
+        the store holds only shard files and the lock."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        child = (
+            "import os, signal\n"
+            "from repro.machines.specs import P100\n"
+            "from repro.simgpu.calibration import P100_CAL\n"
+            "from repro.store import ColumnarStore, shard_key\n"
+            "os.replace = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"ColumnarStore({str(tmp_path)!r}).append(\n"
+            "    shard_key(P100, P100_CAL, 4096, backend='scalar'),\n"
+            "    [4], [1], [24], [1.0], [2.0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert len(list(tmp_path.glob(".*.tmp"))) == 1
+        assert not ColumnarStore(tmp_path).shard_path(_p100_key()).exists()
+
+        store = ColumnarStore(tmp_path)
+        bs, g, r, t, e = _rows()
+        store.append(_p100_key(), bs, g, r, t, e)
+        assert tel.counters["store.tmp.reaped"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", store.shard_path(_p100_key()).name,
+        ]
+        assert ColumnarStore(tmp_path).shard_points(_p100_key()) == len(bs)
+
 
 class TestPlannerWithStore:
     def test_store_dir_and_store_are_exclusive(self, tmp_path):
